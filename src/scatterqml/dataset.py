@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import trajectory
+from .evolution import EvolutionError, trajectory
 from .lattice import (
+    LatticeError,
     LatticeModel,
     WavepacketSpec,
     build_hamiltonian,
@@ -23,7 +24,7 @@ from .lattice import (
     ground_state,
     prepare_scattering_state,
 )
-from .observables import entanglement_entropy, excess_density, site_densities
+from .observables import ObservableError, entanglement_entropy, excess_density, site_densities
 
 WORKERS_ENV = "SCATTERQML_WORKERS"
 
@@ -31,9 +32,11 @@ WORKERS_ENV = "SCATTERQML_WORKERS"
 def worker_count() -> int:
     """Worker-pool size: environment override or available parallelism."""
     value = os.environ.get(WORKERS_ENV)
-    if value:
-        return max(1, int(value))
-    return os.cpu_count() or 1
+    if not value:
+        return os.cpu_count() or 1
+    if not value.isdecimal() or int(value) < 1:
+        raise DatasetError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 class DatasetError(ValueError):
@@ -207,7 +210,8 @@ def _run_group(args):
             )
             if event.t_star is not None:
                 event.delta_s_mid = central_excess_entropy(event, event.t_star)
-        except Exception as exc:  # record the failure, do not abort the sweep
+        except (LatticeError, EvolutionError, ObservableError, DatasetError) as exc:
+            # an expected physics failure becomes the event's error; the sweep goes on
             event = ScatteringEvent(
                 parameters=params,
                 times=times.copy(),

@@ -83,13 +83,7 @@ class QcnnClassifier:
     """Variational circuit classifier over angle features."""
 
     def __init__(self, n_qubits: int, encoding: str, seed: int):
-        rng = np.random.default_rng(seed)
-        n = QcnnModel(n_qubits=n_qubits, encoding=encoding).n_parameters
-        self.model = QcnnModel(
-            n_qubits=n_qubits,
-            encoding=encoding,
-            params=rng.uniform(-np.pi, np.pi, size=n),
-        )
+        self.model = QcnnModel.random(n_qubits, encoding, seed)
 
     @property
     def params(self):
@@ -217,8 +211,12 @@ class ExperimentReport:
 
 
 def _train_one(args):
+    """One run's RunResult, or the message of the TrainError that ended it."""
     dataset, config, seed = args
-    return train(dataset, config, seed)
+    try:
+        return train(dataset, config, seed)
+    except TrainError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_experiment(
@@ -227,27 +225,20 @@ def run_experiment(
     """Independent trainings with seeds base..base+runs-1, aggregated in seed order.
 
     Diverged runs are excluded from the aggregate and counted; the mean and
-    the standard error of the mean are computed over completed runs.
+    the standard error of the mean are computed over completed runs.  Any
+    error other than a TrainError propagates.
     """
     seeds = [config.base_seed + i for i in range(config.runs)]
     tasks = [(dataset, config, s) for s in seeds]
     n_workers = workers if workers is not None else worker_count()
 
-    results, failures = [], []
     if n_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_train_one, t) for t in tasks]
-            for seed, fut in zip(seeds, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures.append((seed, f"{type(exc).__name__}: {exc}"))
+            outcomes = list(pool.map(_train_one, tasks))
     else:
-        for t in tasks:
-            try:
-                results.append(_train_one(t))
-            except Exception as exc:
-                failures.append((t[2], f"{type(exc).__name__}: {exc}"))
+        outcomes = [_train_one(t) for t in tasks]
+    results = [r for r in outcomes if isinstance(r, RunResult)]
+    failures = [(s, r) for s, r in zip(seeds, outcomes) if isinstance(r, str)]
 
     if not results:
         raise TrainError(f"all {config.runs} runs failed: {failures[:3]}")

@@ -4,11 +4,15 @@ Everything here is built from first principles with dense linear algebra and
 deliberately avoids the package's own code paths: operators are assembled
 from explicit Kronecker products, evolution uses a dense matrix exponential,
 entropies come from a full outer-product partial trace, and the free-field
-references use the single-particle correlation matrix.
+references use the single-particle correlation matrix.  The circuit
+references at the end simulate one gate at a time.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from scatterqml.circuits import apply_unitary, encoding_program, z_expectation
+from scatterqml.qcnn import build_program
 
 I2 = np.eye(2)
 PAULI_Z = np.diag([1.0, -1.0])
@@ -168,4 +172,113 @@ def finite_difference_gradient(fn, params: np.ndarray, step: float) -> np.ndarra
         up[i] += step
         dn[i] -= step
         grad[i] = (fn(up) - fn(dn)) / (2 * step)
+    return grad
+
+
+# --- gate-by-gate circuit references ---
+#
+# These run a circuit one Gate at a time through the package's Gate matrices
+# and apply_unitary (both checked against truth tables in test_circuits), so
+# they are independent of the fused block program, the environment-matrix
+# gradient and the batched encoding they are compared with.
+
+
+def zero_state(n_qubits, batch=1):
+    state = np.zeros((batch, 1 << n_qubits), complex)
+    state[:, 0] = 1.0
+    return state
+
+
+def count_cnots(gates):
+    return sum(1 for g in gates if g.kind == "cnot")
+
+
+def count_parameters(gates):
+    return len({g.param for g in gates if g.param is not None})
+
+
+def run_program(gates, state, params, shift_at=None, shift=0.0):
+    """Apply a gate program; optionally shift the angle of one gate occurrence."""
+    out = state
+    for i, gate in enumerate(gates):
+        s = shift if i == shift_at else 0.0
+        out = apply_unitary(out, gate.matrix(params, s), gate.qubits)
+    return out
+
+
+def gate_encode(angles, n_qubits, kind):
+    """Encode rows of angles one at a time, gate by gate."""
+    program = encoding_program(n_qubits, kind)
+    return np.array(
+        [run_program(program, zero_state(n_qubits), row)[0] for row in np.atleast_2d(angles)]
+    )
+
+
+def gate_forward(model, states):
+    """Class-1 readout probability of the QCNN, gate by gate."""
+    gates, readout = build_program(model)
+    out = run_program(gates, np.atleast_2d(states), model.params)
+    return 0.5 * (1.0 - z_expectation(out, readout))
+
+
+def parameter_shift_gradient(model, states, labels):
+    """Gradient of mean squared error via the two-point shift rule.
+
+    Every occurrence of a shared parameter is shifted separately by +-pi/2
+    and the contributions are accumulated, so weight sharing is handled
+    exactly; the outer factor 2(p - y) comes from the chain rule through the
+    readout probability.
+    """
+    states = np.atleast_2d(states)
+    labels = np.asarray(labels, dtype=float)
+    gates, readout = build_program(model)
+    p0 = 0.5 * (1.0 - z_expectation(run_program(gates, states, model.params), readout))
+    outer = 2.0 * (p0 - labels) / labels.size
+
+    grad = np.zeros_like(model.params)
+    for i, gate in enumerate(gates):
+        if gate.param is None:
+            continue
+        plus = run_program(gates, states, model.params, shift_at=i, shift=np.pi / 2)
+        minus = run_program(gates, states, model.params, shift_at=i, shift=-np.pi / 2)
+        p_plus = 0.5 * (1.0 - z_expectation(plus, readout))
+        p_minus = 0.5 * (1.0 - z_expectation(minus, readout))
+        dp = 0.5 * (p_plus - p_minus)
+        grad[gate.param] += np.sum(outer * dp)
+    return grad
+
+
+def gate_generator(kind):
+    """Pauli generator G of a rotation R(theta) = exp(-i theta G / 2)."""
+    if kind == "rx":
+        return np.array([[0, 1], [1, 0]], complex)
+    if kind == "ry":
+        return np.array([[0, -1j], [1j, 0]])
+    return np.diag([1.0, -1.0]).astype(complex)
+
+
+def gate_adjoint_gradient(model, states, labels):
+    """Reverse-pass gradient of the mean squared error, gate by gate."""
+    states = np.atleast_2d(states)
+    labels = np.asarray(labels, dtype=float)
+    gates, readout = build_program(model)
+    params = model.params
+
+    psi = run_program(gates, states, params)
+    signs = 1.0 - 2.0 * ((np.arange(psi.shape[1]) >> readout) & 1)
+    p = 0.5 * (1.0 - np.real(np.sum(signs * np.abs(psi) ** 2, axis=1)))
+    outer = 2.0 * (p - labels) / labels.size
+
+    # lam = (dL/dp) * P1 |psi>, with P1 the |1><1| projector on the readout qubit
+    proj = 0.5 * (1.0 - signs)
+    lam = (outer[:, None] * proj) * psi
+    grad = np.zeros_like(params)
+    for g in reversed(gates):
+        U = g.matrix(params)
+        psi = apply_unitary(psi, U.conj().T, g.qubits)
+        if g.param is not None:
+            dU = (-0.5j * gate_generator(g.kind)) @ U
+            dpsi = apply_unitary(psi, dU, g.qubits)
+            grad[g.param] += 2.0 * np.real(np.sum(np.conj(lam) * dpsi))
+        lam = apply_unitary(lam, U.conj().T, g.qubits)
     return grad

@@ -18,7 +18,7 @@ from scatterqml.dataset import (
     desk_sweep_config,
     run_sweep,
 )
-from scatterqml.circuits import count_cnots, count_parameters, encode, encoding_program
+from scatterqml.circuits import encode, encoding_program
 from scatterqml.cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from scatterqml.evolution import evolve, trajectory
 from scatterqml.lattice import (
@@ -32,9 +32,9 @@ from scatterqml.lattice import (
 from scatterqml.observables import entanglement_entropy, site_densities
 from scatterqml.qcnn import (
     QcnnModel,
+    adjoint_gradient,
     build_program,
     conv_block_gates,
-    parameter_shift_gradient,
     pool_block_gates,
     qcnn_forward,
 )
@@ -43,6 +43,8 @@ from scatterqml.train import TrainConfig, run_experiment
 
 from conftest import tiny_sweep_config
 from oracles import (
+    count_cnots,
+    count_parameters,
     dense_entropy,
     dense_evolve,
     dense_ground_state,
@@ -53,6 +55,7 @@ from oracles import (
     ff_single_particle,
     ff_vacuum_projector,
     finite_difference_gradient,
+    parameter_shift_gradient,
 )
 
 
@@ -202,6 +205,7 @@ def test_criterion_5_gradient_correctness():
 
         fd = finite_difference_gradient(qcnn_loss, model.params, 1e-4)
         ok = ok and np.abs(grad - fd).max() < 1e-6
+        ok = ok and np.abs(adjoint_gradient(model, states, labels) - fd).max() < 1e-6
 
     checked = 0
     while checked < 100:
@@ -227,7 +231,7 @@ def test_criterion_5_gradient_correctness():
         ok = ok and np.abs(grad - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
-    _verdict(5, "parameter-shift and backprop gradients vs finite differences", ok)
+    _verdict(5, "parameter-shift, adjoint and backprop gradients vs finite differences", ok)
 
 
 def test_criterion_6_structural_contracts():

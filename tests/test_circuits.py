@@ -4,19 +4,17 @@ import pytest
 from scatterqml.circuits import (
     CNOT,
     CircuitError,
-    Gate,
     apply_unitary,
-    count_cnots,
-    count_parameters,
     encode,
     encoding_program,
-    run_program,
+    pair_environment,
     rx,
     ry,
     rz,
     z_expectation,
-    zero_state,
 )
+
+from oracles import count_cnots, count_parameters, gate_encode, zero_state
 
 
 def test_rotations_are_unitary_and_periodic(rng):
@@ -56,6 +54,20 @@ def test_apply_unitary_batch_consistency(rng):
         assert np.abs(batched[i] - single[0]).max() < 1e-12
 
 
+def test_pair_environment_matches_unit_matrix_overlaps(rng):
+    # E[i, j] = <bra| (|i><j| on the pair) |ket>, summed over the batch
+    bra = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    ket = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    for qubits in ((0, 2), (2, 0), (1, 0)):
+        env = pair_environment(bra, ket, qubits)
+        for i in range(4):
+            for j in range(4):
+                unit = np.zeros((4, 4))
+                unit[i, j] = 1.0
+                overlap = np.sum(bra.conj() * apply_unitary(ket, unit, qubits))
+                assert abs(env[i, j] - overlap) < 1e-12
+
+
 def test_z_expectation():
     state = np.zeros((1, 4), complex)
     state[0, 0b01] = 1.0
@@ -93,13 +105,12 @@ def test_tpe_is_product_of_single_qubit_rotations(rng):
 def test_encode_validates_width(rng):
     with pytest.raises(CircuitError):
         encode(np.zeros((1, 3)), 4, "hee")
+    with pytest.raises(CircuitError):
+        encode(np.zeros((1, 4)), 4, "qubit")
 
 
-def test_run_program_shift_single_occurrence(rng):
-    gates = [Gate("ry", (0,), param=0), Gate("ry", (0,), param=0)]
-    params = np.array([0.3])
-    state = zero_state(1)
-    shifted = run_program(gates, state, params, shift_at=1, shift=np.pi / 2)
-    # only the second occurrence is shifted
-    expect = ry(0.3 + np.pi / 2) @ (ry(0.3) @ np.array([1.0, 0.0]))
-    assert np.abs(shifted[0] - expect).max() < 1e-14
+@pytest.mark.parametrize("kind", ["hee", "tpe"])
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_batched_encode_matches_gate_by_gate(rng, width, kind):
+    angles = rng.uniform(0, np.pi, size=(3, width))
+    assert np.abs(encode(angles, width, kind) - gate_encode(angles, width, kind)).max() < 1e-12

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from scatterqml import dataset
 from scatterqml.dataset import (
+    WORKERS_ENV,
     DatasetError,
     ScatteringEvent,
     SweepConfig,
@@ -15,7 +19,10 @@ from scatterqml.dataset import (
     fit_pca,
     scale_to_angles,
     angle_bounds,
+    run_sweep,
+    worker_count,
 )
+from scatterqml.evolution import EvolutionError
 
 from conftest import tiny_sweep_config
 
@@ -177,3 +184,32 @@ def test_build_dataset_excludes_failed_events(tiny_events):
     )
     ds = build_dataset(broken + [bad], n_components=4, seed=0)
     assert len(broken) >= ds.labels.size  # the failed event contributed nothing
+
+
+def test_worker_count_env(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    assert worker_count() == 3
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(DatasetError, match=f"{WORKERS_ENV}.*{bad!r}"):
+            worker_count()
+
+
+def _one_lattice_config():
+    return dataclasses.replace(tiny_sweep_config(), masses=(0.5,), couplings=(0.6,))
+
+
+def test_sweep_records_physics_errors_and_raises_programming_errors(monkeypatch):
+    def diverging(*args, **kwargs):
+        raise EvolutionError("Krylov space exhausted")
+
+    monkeypatch.setattr(dataset, "trajectory", diverging)
+    (event,) = run_sweep(_one_lattice_config(), workers=1)
+    assert event.error == "EvolutionError: Krylov space exhausted"
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(dataset, "trajectory", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        run_sweep(_one_lattice_config(), workers=1)

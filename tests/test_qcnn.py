@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatterqml.circuits import CircuitError, count_cnots, count_parameters, encode
+from scatterqml.circuits import CircuitError, encode
 from scatterqml.qcnn import (
     PARAMS_PER_CONV,
     PARAMS_PER_POOL,
@@ -10,14 +10,28 @@ from scatterqml.qcnn import (
     build_program,
     conv_block,
     conv_block_gates,
-    parameter_shift_gradient,
     pool_block,
     pool_block_gates,
     qcnn_forward,
     qcnn_predict,
 )
 
-from oracles import finite_difference_gradient
+from oracles import (
+    count_cnots,
+    count_parameters,
+    finite_difference_gradient,
+    gate_adjoint_gradient,
+    gate_forward,
+    parameter_shift_gradient,
+)
+
+
+def _mse(width, encoding, states, labels):
+    def loss(params):
+        m = QcnnModel(n_qubits=width, encoding=encoding, params=params)
+        return float(np.mean((qcnn_forward(m, states) - labels) ** 2))
+
+    return loss
 
 
 def test_conv_block_structure():
@@ -123,3 +137,26 @@ def test_adjoint_agrees_with_parameter_shift(rng):
         ps = parameter_shift_gradient(model, states, labels)
         adj = adjoint_gradient(model, states, labels)
         assert np.abs(ps - adj).max() < 1e-8
+        assert np.abs(gate_adjoint_gradient(model, states, labels) - adj).max() < 1e-12
+        fd = finite_difference_gradient(_mse(width, "tpe", states, labels), model.params, 1e-4)
+        assert np.abs(adj - fd).max() < 1e-6
+
+
+def test_block_forward_matches_gate_by_gate_at_16_qubits(rng):
+    model = QcnnModel.random(16, seed=16)
+    states = encode(rng.uniform(0, np.pi, size=(2, 16)), 16, "hee")
+    assert np.abs(qcnn_forward(model, states) - gate_forward(model, states)).max() < 1e-12
+
+
+def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
+    model = QcnnModel.random(16, seed=17)
+    states = encode(rng.uniform(0, np.pi, size=(1, 16)), 16, "hee")
+    labels = np.array([1.0])
+    direction = rng.normal(size=model.n_parameters)
+    direction /= np.linalg.norm(direction)
+    loss = _mse(16, "hee", states, labels)
+    step = 1e-4
+    fd = (loss(model.params + step * direction) - loss(model.params - step * direction)) / (
+        2 * step
+    )
+    assert abs(adjoint_gradient(model, states, labels) @ direction - fd) < 1e-6

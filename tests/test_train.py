@@ -122,3 +122,15 @@ def test_single_run_has_no_sem():
     rep = run_experiment(ds, TrainConfig(model="cnn51", epochs=2, runs=1), workers=1)
     assert rep.sem_test_accuracy is None
     assert rep.final_sem is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_counts_train_errors_and_raises_programming_errors(workers):
+    ds = synthetic_dataset(seed=6, n=30)
+    with pytest.raises(TrainError, match="all 2 runs failed"):
+        run_experiment(ds, TrainConfig(model="cnn51", batch_size=512, runs=2), workers)
+    # text features make the float conversion in train() raise ValueError
+    broken = synthetic_dataset(seed=6)
+    broken.features = np.full(broken.features.shape, "angle", dtype=object)
+    with pytest.raises(ValueError, match="could not convert"):
+        run_experiment(broken, TrainConfig(model="cnn51", runs=2), workers)
