@@ -5,6 +5,9 @@ vacuum of a 12-site chain, evolves them through the collision and prints the
 excess density as an ASCII space-time diagram together with the excess
 entropy of the central cut.  The separation time t* and the central excess
 entropy Delta-S_mid are the quantities later used to label events.
+
+States are amplitude vectors over the half-filling sector (``ham.sector``),
+924 of the 4096 basis states of 12 sites.
 """
 
 import numpy as np
@@ -36,7 +39,9 @@ def shade(x, lo, hi):
 def main():
     model = LatticeModel(sites=N, mass=MASS, coupling=COUPLING)
     ham = build_hamiltonian(model)
-    print(f"N={N}, m={MASS}, g={COUPLING}: solving for the vacuum...")
+    sector = ham.sector
+    print(f"N={N}, m={MASS}, g={COUPLING}: solving for the vacuum "
+          f"in the {sector.dimension}-state half-filling sector...")
     vacuum, e0 = ground_state(ham)
     print(f"vacuum energy E0 = {e0:.6f}")
 
@@ -44,18 +49,18 @@ def main():
     anti = WavepacketSpec("antifermion", 9.0, -0.9)
     psi0 = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
 
-    vac_mid = [entanglement_entropy(vacuum, c) for c in (N // 2 - 1, N // 2)]
+    vac_mid = [entanglement_entropy(sector, vacuum, c) for c in (N // 2 - 1, N // 2)]
     density_rows, entropy_rows = [], []
     print("\n  t    excess density (sites 0..11)         dS_mid")
     for t, psi in trajectory(ham, psi0, TIMES):
-        d = excess_density(psi, vacuum)
+        d = excess_density(sector, psi, vacuum)
         s_mid = 0.5 * sum(
-            entanglement_entropy(psi, c) - v
+            entanglement_entropy(sector, psi, c) - v
             for c, v in zip((N // 2 - 1, N // 2), vac_mid)
         )
         density_rows.append(d)
         entropy_rows.append(
-            [entanglement_entropy(psi, c) for c in range(1, N)]
+            [entanglement_entropy(sector, psi, c) for c in range(1, N)]
         )
         if len(density_rows) % 4 == 0:
             row = "".join(shade(x, -0.35, 0.35) for x in d)
@@ -70,7 +75,7 @@ def main():
     print(f"\nseparation time t* = {t_star}")
     if t_star is not None:
         vac_trace = np.array(
-            [entanglement_entropy(vacuum, c) for c in range(1, N)]
+            [entanglement_entropy(sector, vacuum, c) for c in range(1, N)]
         )
         event.entropy_traces = event.entropy_traces - vac_trace
         print(f"central excess entropy at t*: {central_excess_entropy(event, t_star):.4f}")

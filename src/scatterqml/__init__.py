@@ -1,13 +1,17 @@
 """Fermion-scattering entanglement classification toolkit.
 
-Physics backend (exact statevector simulation of a staggered interacting
-fermion chain), dataset construction from scattering trajectories, a small
-variational quantum circuit classifier with convolution/pooling structure,
-classical CNN baselines, and a training/experiment harness.
+Physics backend (exact simulation of a staggered interacting fermion chain
+in its particle-number sectors: states are amplitude vectors over a ranked
+``Sector`` basis, evolved by a Lanczos propagator, with entropies from the
+block-diagonal Schmidt matrices), dataset construction from scattering
+trajectories, a small variational quantum circuit classifier with
+convolution/pooling structure, classical CNN baselines, and a
+training/experiment harness.
 """
 
 from .lattice import (
     LatticeModel,
+    Sector,
     SparseHamiltonian,
     SingleParticleModes,
     WavepacketSpec,
@@ -16,15 +20,15 @@ from .lattice import (
     gaussian_wavepacket,
     ground_state,
     apply_wavepacket_operator,
+    number_sector,
     prepare_scattering_state,
 )
 from .evolution import evolve, trajectory
 from .observables import (
     excess_density,
-    reduced_density_matrix,
-    von_neumann_entropy,
     entanglement_entropy,
     excess_entropy,
+    site_densities,
 )
 from .dataset import (
     SweepConfig,
@@ -39,6 +43,7 @@ from .train import TrainConfig, train, run_experiment
 
 __all__ = [
     "LatticeModel",
+    "Sector",
     "SparseHamiltonian",
     "SingleParticleModes",
     "WavepacketSpec",
@@ -47,14 +52,14 @@ __all__ = [
     "gaussian_wavepacket",
     "ground_state",
     "apply_wavepacket_operator",
+    "number_sector",
     "prepare_scattering_state",
     "evolve",
     "trajectory",
     "excess_density",
-    "reduced_density_matrix",
-    "von_neumann_entropy",
     "entanglement_entropy",
     "excess_entropy",
+    "site_densities",
     "SweepConfig",
     "ScatteringEvent",
     "desk_sweep_config",

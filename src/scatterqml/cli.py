@@ -36,6 +36,17 @@ def _add_common(parser):
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_input(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--in", dest="run_dir", help="run directory from gen-data")
@@ -67,7 +78,7 @@ def _build_parser():
     p = sub.add_parser("gen-data", help="run a sweep, write events + dataset")
     _add_common(p)
     p.add_argument("--out", required=True, help="output run directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
 
     p = sub.add_parser("train", help="train one classifier")
     _add_common(p)
@@ -86,7 +97,7 @@ def _build_parser():
         default=["qcnn4-hee", "cnn51", "cnn113"],
     )
     p.add_argument("--out", help="report CSV (default <run dir>/report.csv)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
 
     p = sub.add_parser("report", help="summarize a report CSV")
     group = p.add_mutually_exclusive_group(required=True)

@@ -24,7 +24,7 @@ from .lattice import (
     ground_state,
     prepare_scattering_state,
 )
-from .observables import ObservableError, entanglement_entropy, excess_density, site_densities
+from .observables import ObservableError, entanglement_entropy, site_densities
 
 WORKERS_ENV = "SCATTERQML_WORKERS"
 
@@ -59,8 +59,18 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("masses", "couplings", "fermion_momenta", "antifermion_momenta"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise DatasetError(f"{name} grid is empty")
+            if not np.all(np.isfinite(values)):
+                raise DatasetError(f"{name} must be finite, got {tuple(values)}")
+        for name in ("time_horizon", "time_step", "momentum_width",
+                     "fermion_position", "antifermion_position"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise DatasetError(f"{name} must be finite, got {value}")
+        if self.time_step <= 0:
+            raise DatasetError(f"time_step must be positive, got {self.time_step}")
         if any(k > 0 for k in self.fermion_momenta) and any(
             k >= 0 for k in self.antifermion_momenta
         ):
@@ -164,11 +174,12 @@ def _run_group(args):
     config, mass, coupling, pairs = args
     model = LatticeModel(sites=config.sites, mass=mass, coupling=coupling)
     ham = build_hamiltonian(model)
+    basis = ham.sector
     vacuum, _ = ground_state(ham)
     modes = free_modes(model)
-    vac_density = site_densities(vacuum)
+    vac_density = site_densities(basis, vacuum)
     vac_entropies = np.array(
-        [entanglement_entropy(vacuum, cut) for cut in range(1, config.sites)]
+        [entanglement_entropy(basis, vacuum, cut) for cut in range(1, config.sites)]
     )
     pos_c, pos_d = config.packet_positions
     times = config.times
@@ -192,10 +203,10 @@ def _run_group(args):
             )
             density_rows, entropy_rows = [], []
             for _, psi in trajectory(ham, psi0, times):
-                density_rows.append(site_densities(psi) - vac_density)
+                density_rows.append(site_densities(basis, psi) - vac_density)
                 entropy_rows.append(
                     np.array(
-                        [entanglement_entropy(psi, cut) for cut in range(1, config.sites)]
+                        [entanglement_entropy(basis, psi, cut) for cut in range(1, config.sites)]
                     )
                     - vac_entropies
                 )

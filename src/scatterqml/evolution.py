@@ -3,66 +3,52 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 
 
 class EvolutionError(RuntimeError):
     """Propagator failed to reach the requested tolerance."""
 
 
+def _propagate_first_column(alphas, betas, dt):
+    """First column of exp(-i dt T) for the real symmetric tridiagonal Lanczos T."""
+    energies, vectors = eigh_tridiagonal(alphas, betas)
+    return vectors @ (np.exp(-1j * dt * energies) * vectors[0])
+
+
 def krylov_expm(matvec, psi: np.ndarray, dt: float, tol: float = 1e-10, max_dim: int = 80):
     """Evolve psi by exp(-i H dt) using an adaptively sized Lanczos basis.
 
     matvec applies the Hermitian H to a vector.  The local error is estimated
-    from the weight leaking into the last Krylov direction; the basis grows
+    from the weight leaking into the next Krylov direction; the basis grows
     until the estimate drops below tol or max_dim is hit.
     """
     if dt == 0:
         return psi.copy()
     norm0 = np.linalg.norm(psi)
-    v = psi / norm0
-    basis = [v]
+    basis = np.empty((max_dim + 1, psi.size), complex)  # rows: orthonormal Lanczos vectors
+    basis[0] = psi / norm0
     alphas, betas = [], []
-
-    w = matvec(v)
-    alphas.append(np.real(np.vdot(v, w)))
-    w = w - alphas[0] * v
-
-    for j in range(1, max_dim):
-        beta = np.linalg.norm(w)
-        if beta < 1e-14:
-            break  # happy breakdown: exact in the current subspace
-        betas.append(beta)
-        v = w / beta
-        basis.append(v)
+    for m in range(1, max_dim + 1):
+        v = basis[m - 1]
         w = matvec(v)
         alphas.append(np.real(np.vdot(v, w)))
-        w = w - alphas[-1] * v - betas[-1] * basis[-2]
-        # reorthogonalize against the basis to keep Lanczos stable
-        for b in basis[:-1]:
-            w -= np.vdot(b, w) * b
-
-        m = len(alphas)
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        small = expm(-1j * dt * T)[:, 0]
-        err = abs(small[-1]) * np.linalg.norm(w)
-        if err < tol:
-            out = np.zeros_like(psi)
-            for coeff, b in zip(small, basis):
-                out += coeff * b
-            out *= norm0
-            return out / np.linalg.norm(out) * norm0
+        w = w - alphas[-1] * v
+        if betas:
+            w -= betas[-1] * basis[m - 2]
+        # reorthogonalize against the whole basis to keep Lanczos stable
+        w -= (basis[:m] @ w.conj()).conj() @ basis[:m]
+        beta = np.linalg.norm(w)
+        small = _propagate_first_column(alphas, betas, dt)
+        # happy breakdown (exact in the current subspace) or converged
+        if beta < 1e-14 or abs(small[-1]) * beta < tol:
+            break
+        betas.append(beta)
+        basis[m] = w / beta
     else:
         raise EvolutionError(f"Krylov dimension {max_dim} insufficient for tol {tol:.0e}")
-
-    m = len(alphas)
-    T = np.diag(alphas) + (np.diag(betas, 1) + np.diag(betas, -1) if betas else 0.0)
-    small = expm(-1j * dt * T)[:, 0]
-    out = np.zeros_like(psi)
-    for coeff, b in zip(small, basis):
-        out += coeff * b
-    out *= norm0
-    return out / np.linalg.norm(out) * norm0
+    out = small @ basis[: small.size]
+    return out * (norm0 / np.linalg.norm(out))
 
 
 def evolve(ham, state: np.ndarray, dt: float, tol: float = 1e-10, max_dim: int = 80) -> np.ndarray:

@@ -5,10 +5,18 @@ nearest-neighbour imaginary hopping i/2, alternating mass term and a
 density-density coupling between neighbouring sites, mapped to qubits by the
 Jordan-Wigner transformation with open boundaries.  Basis states are integers
 whose bit n holds the occupation of site n.
+
+The Hamiltonian conserves the particle number, so states live in one
+particle-number sector (see ``Sector``): the vacuum and the scattering state
+in the half-filling sector, the state between the two wave-packet operators
+in the sector with one more particle.  A state is the vector of its sector's
+amplitudes; no operator or state is ever built on the full 2^N space.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +28,7 @@ class LatticeError(ValueError):
     """Invalid lattice configuration or operator application."""
 
 
-MAX_SITES = 14  # exact statevector memory cap
+MAX_SITES = 14  # largest lattice any test or benchmark covers
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,10 @@ class LatticeModel:
             raise LatticeError(f"sites must be <= {MAX_SITES}, got {self.sites}")
         if self.spacing != 1.0:
             raise LatticeError("lattice spacing is fixed to 1")
+        if not (np.isfinite(self.mass) and np.isfinite(self.coupling)):
+            raise LatticeError(
+                f"mass and coupling must be finite, got {self.mass} and {self.coupling}"
+            )
 
 
 @dataclass(frozen=True)
@@ -53,27 +65,88 @@ class WavepacketSpec:
     def __post_init__(self):
         if self.species not in ("fermion", "antifermion"):
             raise LatticeError(f"unknown species {self.species!r}")
+        if not (np.isfinite(self.position_center) and np.isfinite(self.momentum_width)):
+            raise LatticeError("position_center and momentum_width must be finite")
         if self.momentum_width <= 0:
             raise LatticeError("momentum_width must be positive")
         if not (-np.pi < self.momentum_center <= np.pi):
             raise LatticeError("momentum_center outside the first Brillouin zone")
 
 
-def _popcounts(nbits):
-    """Table of bit counts for all integers below 2**nbits."""
-    table = np.zeros(1 << nbits, dtype=np.int64)
+def _bit_count(values: np.ndarray, nbits: int) -> np.ndarray:
+    """Number of set bits among the lowest nbits of each integer."""
+    count = np.zeros_like(values)
     for b in range(nbits):
-        table[(np.arange(1 << nbits) >> b) & 1 == 1] += 1
-    return table
+        count += (values >> b) & 1
+    return count
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """Basis of one particle-number sector: the bitstrings of `particles`
+    occupied sites among `sites`, ranked in ascending order.
+
+    A sector state is the vector of amplitudes over this basis.  Sectors are
+    built once per (sites, particles) by ``number_sector`` and shared.
+    """
+
+    sites: int
+    particles: int
+    states: np.ndarray = field(repr=False)  # ascending bitstrings; position = rank
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)  # cut -> tables
+
+    @property
+    def dimension(self) -> int:
+        return self.states.size
+
+    def index(self, bitstrings: np.ndarray) -> np.ndarray:
+        """Ranks of bitstrings that belong to the sector."""
+        return np.searchsorted(self.states, bitstrings)
+
+    @functools.cached_property
+    def occupations(self) -> np.ndarray:
+        """(sites, dimension) matrix: entry (n, i) is the occupation of site n in state i."""
+        return ((self.states >> np.arange(self.sites)[:, None]) & 1).astype(float)
+
+    def schmidt_blocks(self, cut: int) -> list[np.ndarray]:
+        """Rank tables of the Schmidt-matrix blocks for the cut after site cut-1.
+
+        The Schmidt matrix of a sector state, (right sites) x (left sites
+        {0..cut-1}), is block-diagonal in the left particle number.  Ranks
+        ascend in (right bits, left bits), so the states with a given left
+        particle number already form their block's (right, left) grid in
+        row-major order.  Each grid is transposed to have no more rows than
+        columns (singular values are unchanged) and grids of equal shape are
+        stacked, so one batched SVD serves each table.  Built once per cut.
+        """
+        if cut not in self._blocks:
+            left_count = _bit_count(self.states & ((1 << cut) - 1), cut)
+            stacks = {}
+            for n in np.unique(left_count):
+                grid = np.flatnonzero(left_count == n).reshape(-1, math.comb(cut, n))
+                if grid.shape[0] > grid.shape[1]:
+                    grid = grid.T
+                stacks.setdefault(grid.shape, []).append(grid)
+            self._blocks[cut] = [np.stack(grids) for grids in stacks.values()]
+        return self._blocks[cut]
+
+
+@functools.lru_cache(maxsize=None)
+def number_sector(sites: int, particles: int) -> Sector:
+    """The (cached) sector of `particles` fermions on `sites` sites."""
+    if not 0 <= particles <= sites:
+        raise LatticeError(f"{particles} particles do not fit on {sites} sites")
+    states = np.arange(1 << sites, dtype=np.int64)
+    return Sector(sites, particles, states[_bit_count(states, sites) == particles])
 
 
 @dataclass
 class SparseHamiltonian:
-    """Sparse Hermitian Hamiltonian on the full 2^N qubit space."""
+    """Sparse Hermitian Hamiltonian on the half-filling sector."""
 
     model: LatticeModel
+    sector: Sector
     matrix: sp.csr_matrix
-    occupations: np.ndarray = field(repr=False)  # popcount per basis state
 
     @property
     def dimension(self):
@@ -84,17 +157,19 @@ class SparseHamiltonian:
 
 
 def build_hamiltonian(model: LatticeModel) -> SparseHamiltonian:
-    """Jordan-Wigner image of the staggered Hamiltonian with open boundaries.
+    """Jordan-Wigner image of the staggered Hamiltonian with open boundaries,
+    built directly on the half-filling sector.
 
     Hopping (i/2)(xi_{n+1}^dag xi_n - h.c.) carries no string sign on adjacent
-    sites; mass and interaction terms are diagonal in the occupation basis.
+    sites and keeps the particle number; mass and interaction terms are
+    diagonal in the occupation basis.
     """
     N = model.sites
-    dim = 1 << N
-    states = np.arange(dim, dtype=np.int64)
-    pops = _popcounts(N)
+    basis = number_sector(N, N // 2)
+    states = basis.states
+    ranks = np.arange(basis.dimension)
 
-    diag = np.zeros(dim)
+    diag = np.zeros(basis.dimension)
     for n in range(N):
         occ = (states >> n) & 1
         diag += (-1) ** n * model.mass * occ
@@ -102,12 +177,12 @@ def build_hamiltonian(model: LatticeModel) -> SparseHamiltonian:
         occ = ((states >> n) & 1) * ((states >> (n + 1)) & 1)
         diag += model.coupling * occ
 
-    rows, cols, vals = [states], [states], [diag]
+    rows, cols, vals = [ranks], [ranks], [diag]
     for n in range(N - 1):
         # xi_{n+1}^dag xi_n : bit n set, bit n+1 clear
         mask = (((states >> n) & 1) == 1) & (((states >> (n + 1)) & 1) == 0)
-        src = states[mask]
-        dst = src ^ (1 << n) ^ (1 << (n + 1))
+        src = ranks[mask]
+        dst = basis.index(states[mask] ^ (1 << n) ^ (1 << (n + 1)))
         amp = np.full(src.shape, 0.5j)
         rows.append(dst)
         cols.append(src)
@@ -118,9 +193,9 @@ def build_hamiltonian(model: LatticeModel) -> SparseHamiltonian:
 
     H = sp.coo_matrix(
         (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
+        shape=(basis.dimension, basis.dimension),
     ).tocsr()
-    return SparseHamiltonian(model=model, matrix=H, occupations=pops[states])
+    return SparseHamiltonian(model=model, sector=basis, matrix=H)
 
 
 def single_particle_matrix(model: LatticeModel) -> np.ndarray:
@@ -224,23 +299,17 @@ def gaussian_wavepacket(spec: WavepacketSpec, modes: SingleParticleModes) -> np.
     return orbital.conj() if spec.species == "antifermion" else orbital
 
 
-def half_filling_indices(ham: SparseHamiltonian) -> np.ndarray:
-    """Basis indices of the half-filling occupation sector."""
-    return np.flatnonzero(ham.occupations == ham.model.sites // 2)
-
-
 def ground_state(ham: SparseHamiltonian, tol: float = 1e-9, maxiter: int = 20000):
-    """Ground state within the half-filling sector, embedded in the full space.
+    """Ground state of the half-filling sector.
 
-    Returns (statevector, energy).  Raises on non-convergence or degeneracy of
-    the two lowest sector eigenvalues.
+    Returns (sector amplitudes, energy).  Raises on non-convergence or
+    degeneracy of the two lowest sector eigenvalues.
     """
-    sector = half_filling_indices(ham)
-    Hs = ham.matrix[np.ix_(sector, sector)].tocsr()
-    k = min(2, Hs.shape[0] - 1)
+    H = ham.matrix
+    k = min(2, ham.dimension - 1)
     # deterministic start vector so repeated runs are bit-identical
-    v0 = np.ones(Hs.shape[0]) / np.sqrt(Hs.shape[0])
-    vals, vecs = eigsh(Hs, k=k, which="SA", tol=0, maxiter=maxiter, v0=v0)
+    v0 = np.ones(ham.dimension) / np.sqrt(ham.dimension)
+    vals, vecs = eigsh(H, k=k, which="SA", tol=0, maxiter=maxiter, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     if k == 2 and vals[1] - vals[0] < 1e-10:
@@ -249,39 +318,41 @@ def ground_state(ham: SparseHamiltonian, tol: float = 1e-9, maxiter: int = 20000
     v = vecs[:, 0].astype(complex)
     pivot = np.argmax(np.abs(v))
     v *= np.exp(-1j * np.angle(v[pivot]))  # fix the global phase
-    residual = np.linalg.norm(Hs @ v - energy * v)
+    residual = np.linalg.norm(H @ v - energy * v)
     if residual > tol:
         raise LatticeError(f"ground-state residual {residual:.2e} above {tol:.0e}")
-    psi = np.zeros(ham.dimension, complex)
-    psi[sector] = v
-    psi /= np.linalg.norm(psi)
-    return psi, float(energy)
+    return v / np.linalg.norm(v), float(energy)
 
 
-def apply_wavepacket_operator(state: np.ndarray, coeffs: np.ndarray, species: str) -> np.ndarray:
+def apply_wavepacket_operator(
+    basis: Sector, state: np.ndarray, coeffs: np.ndarray, species: str
+) -> tuple[Sector, np.ndarray]:
     """Apply sum_n phi_n xi_n^dag (fermion) or sum_n phi_n xi_n (antifermion).
 
+    The operator maps a state of `basis` to the sector with one particle more
+    (fermion) or fewer (antifermion); returns (that sector, its amplitudes).
     Jordan-Wigner sign strings run over sites below the acted site.  The
     result is not renormalized; a norm below 1e-8 raises.
     """
-    N = int(round(np.log2(state.size)))
+    N = basis.sites
     if coeffs.shape != (N,):
         raise LatticeError("coefficient vector length does not match the state")
-    states = np.arange(state.size, dtype=np.int64)
-    pops = _popcounts(N)
-    out = np.zeros_like(state)
+    if state.shape != (basis.dimension,):
+        raise LatticeError("state length does not match its sector")
+    create = species == "fermion"
+    target = number_sector(N, basis.particles + (1 if create else -1))
+    out = np.zeros(target.dimension, complex)
     for n in range(N):
         if coeffs[n] == 0:
             continue
-        bit = (states >> n) & 1
-        mask = bit == 0 if species == "fermion" else bit == 1
-        src = states[mask]
-        dst = src ^ (1 << n)
-        sign = 1.0 - 2.0 * (pops[src & ((1 << n) - 1)] & 1)
-        np.add.at(out, dst, coeffs[n] * sign * state[src])
+        src = np.flatnonzero(((basis.states >> n) & 1) == (0 if create else 1))
+        below = basis.states[src] & ((1 << n) - 1)
+        sign = 1.0 - 2.0 * (_bit_count(below, n) & 1)
+        # each source state reaches a distinct target state for a fixed site
+        out[target.index(basis.states[src] ^ (1 << n))] += coeffs[n] * sign * state[src]
     if np.linalg.norm(out) < 1e-8:
         raise LatticeError("wave-packet operator annihilates the state")
-    return out
+    return target, out
 
 
 def prepare_scattering_state(
@@ -292,7 +363,10 @@ def prepare_scattering_state(
     vacuum: np.ndarray | None = None,
     modes: SingleParticleModes | None = None,
 ) -> np.ndarray:
-    """Normalized scattering state: antifermion and fermion packets on the vacuum."""
+    """Normalized scattering state: antifermion and fermion packets on the vacuum.
+
+    The vacuum and the result are half-filling sector states of `ham`.
+    """
     sigma_x = 1.0 / (2.0 * min(fermion.momentum_width, antifermion.momentum_width))
     if abs(fermion.position_center - antifermion.position_center) < 4 * sigma_x:
         raise LatticeError("wave packets are not spatially separated")
@@ -304,11 +378,6 @@ def prepare_scattering_state(
         modes = free_modes(model)
     phi_c = gaussian_wavepacket(fermion, modes)
     phi_d = gaussian_wavepacket(antifermion, modes)
-    psi = apply_wavepacket_operator(vacuum, phi_c, "fermion")
-    psi = apply_wavepacket_operator(psi, phi_d, "antifermion")
+    basis, psi = apply_wavepacket_operator(ham.sector, vacuum, phi_c, "fermion")
+    _, psi = apply_wavepacket_operator(basis, psi, phi_d, "antifermion")
     return psi / np.linalg.norm(psi)
-
-
-def total_number_expectation(ham: SparseHamiltonian, state: np.ndarray) -> float:
-    """Expectation of the total fermion number operator."""
-    return float(np.real(np.sum(ham.occupations * np.abs(state) ** 2)))

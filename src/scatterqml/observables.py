@@ -1,74 +1,56 @@
-"""Densities, reduced density matrices and entanglement entropies."""
+"""Densities and entanglement entropies of particle-number sector states.
+
+Every function takes the state's ``Sector`` and the vector of its amplitudes.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-
-RDM_MAX_QUBITS = 12  # 2^12 x 2^12 dense matrix cap
 
 
 class ObservableError(ValueError):
     pass
 
 
-def site_densities(state: np.ndarray) -> np.ndarray:
+def _check(sector, state):
+    if np.shape(state) != (sector.dimension,):
+        raise ObservableError(
+            f"state of shape {np.shape(state)} does not match the sector dimension "
+            f"{sector.dimension}"
+        )
+
+
+def site_densities(sector, state: np.ndarray) -> np.ndarray:
     """Occupation <xi_n^dag xi_n> per site."""
-    N = int(round(np.log2(state.size)))
-    prob = np.abs(state) ** 2
-    states = np.arange(state.size, dtype=np.int64)
-    return np.array([prob[(states >> n) & 1 == 1].sum() for n in range(N)])
+    _check(sector, state)
+    return sector.occupations @ (np.abs(state) ** 2)
 
 
-def excess_density(state: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
+def excess_density(sector, state: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
     """Local fermion density relative to the vacuum."""
-    if state.size != vacuum.size:
-        raise ObservableError("state and vacuum dimensions differ")
-    return site_densities(state) - site_densities(vacuum)
+    return site_densities(sector, state) - site_densities(sector, vacuum)
 
 
-def _split(state: np.ndarray, cut: int) -> np.ndarray:
-    """Reshape amplitudes into a (right, left) matrix for a cut after site cut-1."""
-    N = int(round(np.log2(state.size)))
-    if not 1 <= cut <= N - 1:
-        raise ObservableError(f"cut must be in [1, {N - 1}], got {cut}")
-    return state.reshape(1 << (N - cut), 1 << cut)
+def entanglement_entropy(sector, state: np.ndarray, cut: int) -> float:
+    """Bipartite entropy of sites {0..cut-1} via Schmidt (singular) values.
 
-
-def reduced_density_matrix(state: np.ndarray, cut: int) -> np.ndarray:
-    """Reduced density matrix of sites {0..cut-1}: Hermitian, PSD, trace one."""
-    if cut > RDM_MAX_QUBITS:
-        raise ObservableError(f"cut {cut} exceeds the {RDM_MAX_QUBITS}-qubit memory cap")
-    M = _split(state, cut)
-    return M.T @ M.conj()
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr[rho ln rho]; eigenvalues below 1e-14 contribute zero."""
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ObservableError("density matrix trace differs from 1")
-    vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 1e-14]
-    return float(-np.sum(vals * np.log(vals)))
-
-
-def entanglement_entropy(state: np.ndarray, cut: int) -> float:
-    """Bipartite entropy of sites {0..cut-1} via Schmidt (singular) values."""
-    svals = np.linalg.svd(_split(state, cut), compute_uv=False)
+    The Schmidt matrix is block-diagonal in the particle number of the left
+    sites, so the singular values come from small SVDs of its blocks.
+    """
+    _check(sector, state)
+    if not 1 <= cut <= sector.sites - 1:
+        raise ObservableError(f"cut must be in [1, {sector.sites - 1}], got {cut}")
+    svals = np.concatenate(
+        [
+            np.linalg.svd(state[ranks], compute_uv=False).ravel()
+            for ranks in sector.schmidt_blocks(cut)
+        ]
+    )
     p = svals**2
     p = p[p > 1e-14]
     return float(-np.sum(p * np.log(p)))
 
 
-def excess_entropy(state: np.ndarray, vacuum: np.ndarray, cut: int) -> float:
+def excess_entropy(sector, state: np.ndarray, vacuum: np.ndarray, cut: int) -> float:
     """S_cut(state) - S_cut(vacuum); may be negative."""
-    if state.size != vacuum.size:
-        raise ObservableError("state and vacuum dimensions differ")
-    return entanglement_entropy(state, cut) - entanglement_entropy(vacuum, cut)
-
-
-def entropy_profile(state: np.ndarray, vacuum_entropies: np.ndarray) -> np.ndarray:
-    """Excess entropy at every cut 1..N-1 given precomputed vacuum entropies."""
-    N = int(round(np.log2(state.size)))
-    return np.array(
-        [entanglement_entropy(state, cut) for cut in range(1, N)]
-    ) - np.asarray(vacuum_entropies)
+    return entanglement_entropy(sector, state, cut) - entanglement_entropy(sector, vacuum, cut)

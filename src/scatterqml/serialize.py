@@ -7,6 +7,7 @@ schema version so stale files fail loudly instead of being misread.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 
@@ -39,13 +40,42 @@ def _dumps(obj) -> str:
     return json.dumps(_to_plain(obj), sort_keys=True, separators=(",", ":"))
 
 
-def _check_schema(record, kind):
+def _parse(text: str, where: str):
+    """One JSON value; `where` names the file (and line) in the error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializeError(f"{where}: invalid JSON ({exc})") from None
+
+
+@contextlib.contextmanager
+def _fields(where: str):
+    """Turn a missing key or a wrongly typed value into a SerializeError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SerializeError(f"{where}: missing key {exc}") from None
+    except TypeError as exc:
+        raise SerializeError(f"{where}: malformed record ({exc})") from None
+
+
+def _check_schema(record, kind, where):
+    if not isinstance(record, dict):
+        raise SerializeError(f"{where}: expected a JSON object")
     if record.get("schema") != SCHEMA_VERSION:
         raise SerializeError(
-            f"expected schema {SCHEMA_VERSION}, got {record.get('schema')!r}"
+            f"{where}: expected schema {SCHEMA_VERSION}, got {record.get('schema')!r}"
         )
     if record.get("kind") != kind:
-        raise SerializeError(f"expected a {kind!r} file, got {record.get('kind')!r}")
+        raise SerializeError(f"{where}: expected a {kind!r} file, got {record.get('kind')!r}")
+
+
+def _load_record(path, kind):
+    """The single JSON record of a dataset or model file, schema-checked."""
+    with open(path) as fh:
+        record = _parse(fh.read(), str(path))
+    _check_schema(record, kind, str(path))
+    return record
 
 
 def sweep_config_dict(config: SweepConfig) -> dict:
@@ -113,27 +143,30 @@ def load_events(path):
         lines = fh.read().splitlines()
     if not lines:
         raise SerializeError(f"{path} is empty")
-    header = json.loads(lines[0])
-    _check_schema(header, "events")
-    config = sweep_config_from_dict(header["config"])
+    where = f"{path} line 1"
+    header = _parse(lines[0], where)
+    _check_schema(header, "events", where)
+    with _fields(where):
+        config = sweep_config_from_dict(header["config"])
+        count = header["count"]
     events = []
-    for line in lines[1:]:
-        d = json.loads(line)
-        events.append(
-            ScatteringEvent(
-                parameters=d["parameters"],
-                times=np.array(d["times"]),
-                density_image=np.array(d["density_image"]),
-                entropy_traces=np.array(d["entropy_traces"]),
-                t_star=d["t_star"],
-                delta_s_mid=d["delta_s_mid"],
-                error=d["error"],
+    for lineno, line in enumerate(lines[1:], 2):
+        where = f"{path} line {lineno}"
+        d = _parse(line, where)
+        with _fields(where):
+            events.append(
+                ScatteringEvent(
+                    parameters=d["parameters"],
+                    times=np.array(d["times"]),
+                    density_image=np.array(d["density_image"]),
+                    entropy_traces=np.array(d["entropy_traces"]),
+                    t_star=d["t_star"],
+                    delta_s_mid=d["delta_s_mid"],
+                    error=d["error"],
+                )
             )
-        )
-    if len(events) != header["count"]:
-        raise SerializeError(
-            f"{path} declares {header['count']} events but holds {len(events)}"
-        )
+    if len(events) != count:
+        raise SerializeError(f"{path} declares {count} events but holds {len(events)}")
     return config, events
 
 
@@ -158,24 +191,23 @@ def save_dataset(path, dataset: ProcessedDataset) -> None:
 
 
 def load_dataset(path) -> ProcessedDataset:
-    with open(path) as fh:
-        d = json.load(fh)
-    _check_schema(d, "dataset")
-    return ProcessedDataset(
-        features=np.array(d["features"]),
-        labels=np.array(d["labels"], dtype=int),
-        train_idx=np.array(d["train_idx"], dtype=int),
-        test_idx=np.array(d["test_idx"], dtype=int),
-        pca=PcaModel(
-            mean=np.array(d["pca_mean"]),
-            components=np.array(d["pca_components"]),
-            explained_variance=np.array(d["pca_explained_variance"]),
-        ),
-        bounds=np.array(d["bounds"]),
-        threshold=float(d["threshold"]),
-        seed=int(d["seed"]),
-        event_rows=np.array(d["event_rows"], dtype=int),
-    )
+    d = _load_record(path, "dataset")
+    with _fields(str(path)):
+        return ProcessedDataset(
+            features=np.array(d["features"]),
+            labels=np.array(d["labels"], dtype=int),
+            train_idx=np.array(d["train_idx"], dtype=int),
+            test_idx=np.array(d["test_idx"], dtype=int),
+            pca=PcaModel(
+                mean=np.array(d["pca_mean"]),
+                components=np.array(d["pca_components"]),
+                explained_variance=np.array(d["pca_explained_variance"]),
+            ),
+            bounds=np.array(d["bounds"]),
+            threshold=float(d["threshold"]),
+            seed=int(d["seed"]),
+            event_rows=np.array(d["event_rows"], dtype=int),
+        )
 
 
 def save_model(path, model_name: str, params: np.ndarray, metadata: dict | None = None):
@@ -192,10 +224,9 @@ def save_model(path, model_name: str, params: np.ndarray, metadata: dict | None 
 
 def load_model(path):
     """Returns (model_name, params, metadata)."""
-    with open(path) as fh:
-        d = json.load(fh)
-    _check_schema(d, "model")
-    return d["model"], np.array(d["params"]), d["metadata"]
+    d = _load_record(path, "model")
+    with _fields(str(path)):
+        return d["model"], np.array(d["params"]), d["metadata"]
 
 
 REPORT_COLUMNS = ("epoch", "model", "threshold", "mean_acc", "sem")

@@ -1,17 +1,21 @@
 """Independent reference implementations used by the tests.
 
-Everything here is built from first principles with dense linear algebra and
-deliberately avoids the package's own code paths: operators are assembled
-from explicit Kronecker products, evolution uses a dense matrix exponential,
-entropies come from a full outer-product partial trace, and the free-field
-references use the single-particle correlation matrix.  The circuit
-references at the end simulate one gate at a time.
+Everything here is built from first principles with dense linear algebra on
+the full 2^N space and deliberately avoids the package's own code paths:
+operators are assembled from explicit Kronecker products, evolution uses a
+dense matrix exponential, entropies come from a full outer-product partial
+trace, and the free-field references use the single-particle correlation
+matrix.  The package works on particle-number sectors; ``embed`` places a
+sector state into the full space (at the basis states the package's
+``Sector`` lists) so that it can be compared with these references.  The
+circuit references at the end simulate one gate at a time.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from scatterqml.circuits import apply_unitary, encoding_program, z_expectation
+from scatterqml.observables import ObservableError, entanglement_entropy
 from scatterqml.qcnn import build_program
 
 I2 = np.eye(2)
@@ -57,6 +61,36 @@ def dense_number_operator(n_sites: int) -> np.ndarray:
         cn = site_annihilator(n_sites, n)
         total += np.real(cn.conj().T @ cn)
     return total
+
+
+def number_diagonal(n_sites: int) -> np.ndarray:
+    """Diagonal of the total number operator, from Kronecker products of
+    single-site occupations (site 0 is the last factor)."""
+    total = np.zeros(1 << n_sites)
+    for site in range(n_sites):
+        diag = np.ones(1)
+        for j in range(n_sites - 1, -1, -1):
+            diag = np.kron(diag, [0.0, 1.0] if j == site else [1.0, 1.0])
+        total += diag
+    return total
+
+
+def sector_indices(n_sites: int, particles: int) -> np.ndarray:
+    """Ascending full-space indices of the basis states holding `particles` fermions."""
+    return np.flatnonzero(number_diagonal(n_sites) == particles)
+
+
+def embed(sector, psi: np.ndarray) -> np.ndarray:
+    """Full-space vector of a sector state, amplitudes at the sector's bitstrings."""
+    full = np.zeros(1 << sector.sites, complex)
+    full[sector.states] = psi
+    return full
+
+
+def total_number_expectation(psi: np.ndarray) -> float:
+    """Expectation of the total fermion number operator in a full-space state."""
+    n_sites = int(round(np.log2(psi.size)))
+    return float(np.sum(number_diagonal(n_sites) * np.abs(psi) ** 2))
 
 
 def dense_ground_state(n_sites: int, mass: float, coupling: float):
@@ -109,6 +143,39 @@ def dense_entropy(psi: np.ndarray, cut: int) -> float:
     vals = np.linalg.eigvalsh(dense_reduced_density(psi, cut))
     vals = vals[vals > 1e-14]
     return float(-np.sum(vals * np.log(vals)))
+
+
+# --- helpers moved out of the package, used only by tests ---
+#
+# reduced_density_matrix and von_neumann_entropy act on full-space states;
+# entropy_profile collects the package's sector entropies over all cuts.
+
+RDM_MAX_QUBITS = 12  # 2^12 x 2^12 dense matrix cap
+
+
+def reduced_density_matrix(state: np.ndarray, cut: int) -> np.ndarray:
+    """Reduced density matrix of sites {0..cut-1}: Hermitian, PSD, trace one."""
+    if cut > RDM_MAX_QUBITS:
+        raise ObservableError(f"cut {cut} exceeds the {RDM_MAX_QUBITS}-qubit memory cap")
+    n = int(round(np.log2(state.size)))
+    M = state.reshape(1 << (n - cut), 1 << cut)
+    return M.T @ M.conj()
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """-Tr[rho ln rho]; eigenvalues below 1e-14 contribute zero."""
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ObservableError("density matrix trace differs from 1")
+    vals = np.linalg.eigvalsh(rho)
+    vals = vals[vals > 1e-14]
+    return float(-np.sum(vals * np.log(vals)))
+
+
+def entropy_profile(sector, state: np.ndarray, vacuum_entropies: np.ndarray) -> np.ndarray:
+    """Excess entropy at every cut 1..N-1 given precomputed vacuum entropies."""
+    return np.array(
+        [entanglement_entropy(sector, state, cut) for cut in range(1, sector.sites)]
+    ) - np.asarray(vacuum_entropies)
 
 
 # --- free-fermion (g = 0) correlation-matrix references ---

@@ -26,8 +26,8 @@ from scatterqml.lattice import (
     WavepacketSpec,
     build_hamiltonian,
     ground_state,
+    number_sector,
     prepare_scattering_state,
-    total_number_expectation,
 )
 from scatterqml.observables import entanglement_entropy, site_densities
 from scatterqml.qcnn import (
@@ -48,7 +48,10 @@ from oracles import (
     dense_entropy,
     dense_evolve,
     dense_ground_state,
+    dense_hamiltonian,
+    dense_number_operator,
     dense_site_densities,
+    embed,
     ff_block_entropy,
     ff_evolve_projector,
     ff_scattering_projector,
@@ -76,17 +79,19 @@ def test_criterion_1_dense_oracle_equivalence():
     fer = WavepacketSpec("fermion", 1.0, 0.9, 0.8)
     anti = WavepacketSpec("antifermion", 5.0, -0.9, 0.8)
     psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
-    H_dense = ham.matrix.toarray()
-    psi_ref = psi.copy()
+    sector = ham.sector
+    H_dense = dense_hamiltonian(N, mass, coupling)
+    psi_ref = embed(sector, psi)
+    vacuum_ref = embed(sector, vacuum)
     for t in (1.0, 2.0, 3.0):
         psi_k = evolve(ham, psi, 1.0)
         psi_ref = dense_evolve(H_dense, psi_ref, 1.0)
-        dens = site_densities(psi_k) - site_densities(vacuum)
-        dens_ref = dense_site_densities(N, psi_ref) - dense_site_densities(N, vacuum)
+        dens = site_densities(sector, psi_k) - site_densities(sector, vacuum)
+        dens_ref = dense_site_densities(N, psi_ref) - dense_site_densities(N, vacuum_ref)
         ok = ok and np.abs(dens - dens_ref).max() < 1e-8
         for cut in range(1, N):
             ok = ok and abs(
-                entanglement_entropy(psi_k, cut) - dense_entropy(psi_ref, cut)
+                entanglement_entropy(sector, psi_k, cut) - dense_entropy(psi_ref, cut)
             ) < 1e-8
         psi = psi_k
     elapsed = time.monotonic() - start
@@ -117,14 +122,16 @@ def test_criterion_2_free_field_oracle():
     times = np.arange(1.0, 11.0)
     for t, psi in trajectory(ham, psi0, times):
         Pt = ff_evolve_projector(h, P0, t)
-        ok = ok and np.abs(site_densities(psi) - np.real(np.diag(Pt))).max() < 1e-8
+        ok = ok and np.abs(site_densities(ham.sector, psi) - np.real(np.diag(Pt))).max() < 1e-8
         for cut in range(1, N):
             ok = ok and abs(
-                entanglement_entropy(psi, cut) - ff_block_entropy(Pt, cut)
+                entanglement_entropy(ham.sector, psi, cut) - ff_block_entropy(Pt, cut)
             ) < 1e-8
     # the vacuum itself must match the filled-sea correlation matrix
     Pvac = ff_vacuum_projector(h)
-    ok = ok and np.abs(site_densities(vacuum) - np.real(np.diag(Pvac))).max() < 1e-8
+    ok = ok and np.abs(
+        site_densities(ham.sector, vacuum) - np.real(np.diag(Pvac))
+    ).max() < 1e-8
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 300.0
     _verdict(2, "free-field correlation-matrix oracle at N=12", ok)
@@ -132,6 +139,12 @@ def test_criterion_2_free_field_oracle():
 
 def test_criterion_3_conservation_suite():
     rng = np.random.default_rng(20240817)
+    number_op = dense_number_operator(8)
+
+    def total_number(ham, psi):
+        full = embed(ham.sector, psi)
+        return float(np.real(np.vdot(full, number_op @ full)))
+
     ok = True
     for _ in range(10):
         mass = rng.uniform(0.1, 0.9)
@@ -143,36 +156,42 @@ def test_criterion_3_conservation_suite():
         anti = WavepacketSpec("antifermion", 6.0, -0.9, 0.7)
         psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
         energy0 = float(np.real(np.vdot(psi, ham.apply(psi))))
-        number0 = total_number_expectation(ham, psi)
+        number0 = total_number(ham, psi)
         for _, psi in trajectory(ham, psi, 0.25 * np.arange(1, 101)):
             pass
         energy = float(np.real(np.vdot(psi, ham.apply(psi))))
         ok = ok and abs(np.linalg.norm(psi) - 1.0) < 1e-10
         ok = ok and abs(energy - energy0) / max(abs(energy0), 1.0) < 1e-8
-        ok = ok and abs(total_number_expectation(ham, psi) - number0) < 1e-9
+        ok = ok and abs(total_number(ham, psi) - number0) < 1e-9
     _verdict(3, "norm/energy/number conservation over 100 steps x 10 draws", ok)
 
 
 def test_criterion_4_entropy_identities_and_collision_entropy():
     ok = True
-    # pure product state
-    basis = np.zeros(16, complex)
-    basis[0b0101] = 1.0
-    ok = ok and all(entanglement_entropy(basis, c) < 1e-12 for c in (1, 2, 3))
-    # Bell cut
-    bell = np.zeros(4, complex)
-    bell[0b00] = bell[0b11] = 1 / np.sqrt(2)
-    ok = ok and abs(entanglement_entropy(bell, 1) - np.log(2)) < 1e-12
-    # left/right block symmetry on a random state
+    # pure product state (half filling of four sites)
+    four = number_sector(4, 2)
+    basis = np.zeros(four.dimension, complex)
+    basis[four.index(0b0101)] = 1.0
+    ok = ok and all(entanglement_entropy(four, basis, c) < 1e-12 for c in (1, 2, 3))
+    # Bell pair across the central cut
+    bell = np.zeros(four.dimension, complex)
+    bell[four.index([0b0110, 0b1001])] = 1 / np.sqrt(2)
+    ok = ok and abs(entanglement_entropy(four, bell, 2) - np.log(2)) < 1e-12
+    # left/right block symmetry on a random half-filling state: the block
+    # SVDs against the reshape-SVD of its full-space embedding
     rng = np.random.default_rng(7)
-    psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+    eight = number_sector(8, 4)
+    psi = rng.normal(size=eight.dimension) + 1j * rng.normal(size=eight.dimension)
     psi /= np.linalg.norm(psi)
+    full = embed(eight, psi)
     for cut in range(1, 8):
-        right = np.linalg.svd(psi.reshape(1 << (8 - cut), 1 << cut),
+        right = np.linalg.svd(full.reshape(1 << (8 - cut), 1 << cut),
                               compute_uv=False)
         p = right**2
         p = p[p > 1e-14]
-        ok = ok and abs(entanglement_entropy(psi, cut) + np.sum(p * np.log(p))) < 1e-10
+        ok = ok and abs(
+            entanglement_entropy(eight, psi, cut) + np.sum(p * np.log(p))
+        ) < 1e-10
 
     # collision run: positive excess central entropy at the separation time
     cfg = SweepConfig(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,63 @@ def test_cli_gen_data_override_changes_grid(tiny_cfg_file, tmp_path):
                  "--out", str(run_dir), "--workers", "2"]) == 0
     _, events = load_events(run_dir / "events.jsonl")
     assert len(events) == 6
+
+
+def _events_file(tmp_path, tiny_events):
+    from conftest import tiny_sweep_config
+    from scatterqml.serialize import save_events
+
+    path = tmp_path / "events.jsonl"
+    save_events(path, tiny_sweep_config(), tiny_events)
+    return path, path.read_text().splitlines()
+
+
+def _train_fails_naming(path, capsys, detail):
+    code = main(["train", "--events", str(path), "--model", "cnn51"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and detail in err
+
+
+def test_cli_truncated_events_file_fails_cleanly(tiny_events, tmp_path, capsys):
+    path, lines = _events_file(tmp_path, tiny_events)
+    path.write_text("\n".join(lines[:3] + [lines[3][:200]]) + "\n")
+    _train_fails_naming(path, capsys, "line 4: invalid JSON")
+
+
+def test_cli_events_header_without_count_fails_cleanly(tiny_events, tmp_path, capsys):
+    path, lines = _events_file(tmp_path, tiny_events)
+    header = json.loads(lines[0])
+    del header["count"]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    _train_fails_naming(path, capsys, "line 1: missing key 'count'")
+
+
+def test_cli_event_without_density_image_fails_cleanly(tiny_events, tmp_path, capsys):
+    path, lines = _events_file(tmp_path, tiny_events)
+    event = json.loads(lines[2])
+    del event["density_image"]
+    lines[2] = json.dumps(event)
+    path.write_text("\n".join(lines) + "\n")
+    _train_fails_naming(path, capsys, "line 3: missing key 'density_image'")
+
+
+def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    code = main(["gen-data", "--config", str(tiny_cfg_file),
+                 "--set", "masses=nan,0.6", "--out", str(run_dir)])
+    assert code == 1
+    assert "masses must be finite" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--out", "unused"],
+    ["experiment", "--events", "unused.jsonl", "--out", "unused.csv"],
+])
+@pytest.mark.parametrize("workers", ["-3", "0", "two"])
+def test_cli_rejects_non_positive_workers(command, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

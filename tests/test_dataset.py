@@ -36,6 +36,26 @@ def test_sweep_config_validation():
                     antifermion_momenta=(0.9,))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("masses", (np.nan, 0.6)),
+    ("couplings", (0.5, np.inf)),
+    ("fermion_momenta", (np.nan,)),
+    ("antifermion_momenta", (-np.inf,)),
+    ("time_horizon", np.nan),
+    ("time_step", np.inf),
+    ("momentum_width", np.nan),
+    ("fermion_position", np.inf),
+])
+def test_sweep_config_rejects_non_finite_values(field, value):
+    with pytest.raises(DatasetError, match=f"{field} must be finite"):
+        dataclasses.replace(tiny_sweep_config(), **{field: value})
+
+
+def test_sweep_config_rejects_non_positive_time_step():
+    with pytest.raises(DatasetError, match="time_step"):
+        dataclasses.replace(tiny_sweep_config(), time_step=0.0)
+
+
 def test_grid_cardinality_and_order():
     cfg = tiny_sweep_config()
     grid = cfg.grid()
@@ -113,6 +133,15 @@ def test_sweep_deterministic(tiny_events):
     for a, b in zip(tiny_events, again):
         assert np.array_equal(a.density_image, b.density_image)
         assert a.delta_s_mid == b.delta_s_mid
+
+
+def test_pooled_sweep_writes_the_same_bytes_as_serial(tiny_events, tmp_path):
+    from scatterqml.serialize import save_events
+
+    pooled, serial = tmp_path / "pooled.jsonl", tmp_path / "serial.jsonl"
+    save_events(pooled, tiny_sweep_config(), tiny_events)  # the fixture ran 4 workers
+    save_events(serial, tiny_sweep_config(), run_sweep(tiny_sweep_config(), workers=1))
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_pca_rank_reconstruction(rng):

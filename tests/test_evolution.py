@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from scatterqml.evolution import EvolutionError, evolve, krylov_expm, trajectory
 from scatterqml.lattice import LatticeModel, build_hamiltonian, ground_state
 
-from oracles import dense_evolve, ff_single_particle
+from oracles import dense_evolve, dense_hamiltonian, embed, ff_single_particle
 
 
 class _MatvecHam:
@@ -18,8 +18,6 @@ class _MatvecHam:
 
 def test_two_site_step_matches_dense_expm():
     # smallest nontrivial chain: two sites, unit mass, free
-    from oracles import dense_hamiltonian
-
     H = dense_hamiltonian(2, 1.0, 0.0)
     psi0 = np.zeros(4, complex)
     psi0[1] = 1.0  # site 0 occupied
@@ -28,20 +26,24 @@ def test_two_site_step_matches_dense_expm():
     assert np.abs(out - ref).max() < 1e-9
 
 
+def _random_state(rng, ham):
+    psi = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+    return psi / np.linalg.norm(psi)
+
+
 def test_evolution_matches_dense_expm_random_state(rng):
     model = LatticeModel(sites=6, mass=0.3, coupling=0.8)
     ham = build_hamiltonian(model)
-    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
-    psi /= np.linalg.norm(psi)
+    psi = _random_state(rng, ham)
     out = evolve(ham, psi, 1.3)
-    ref = dense_evolve(ham.matrix.toarray(), psi, 1.3)
-    assert np.abs(out - ref).max() < 1e-9
+    ref = dense_evolve(dense_hamiltonian(6, 0.3, 0.8), embed(ham.sector, psi), 1.3)
+    assert np.abs(embed(ham.sector, out) - ref).max() < 1e-9
 
 
 def test_zero_time_is_identity(rng):
     model = LatticeModel(sites=4, mass=0.2, coupling=0.1)
     ham = build_hamiltonian(model)
-    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
     assert np.array_equal(evolve(ham, psi, 0.0), psi)
 
 
@@ -56,8 +58,7 @@ def test_eigenstate_picks_up_pure_phase():
 def test_norm_preserved_over_many_steps(rng):
     model = LatticeModel(sites=8, mass=0.3, coupling=0.7)
     ham = build_hamiltonian(model)
-    psi = rng.normal(size=256) + 1j * rng.normal(size=256)
-    psi /= np.linalg.norm(psi)
+    psi = _random_state(rng, ham)
     for _, psi in trajectory(ham, psi, 0.5 * np.arange(1, 41)):
         pass
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
@@ -66,8 +67,7 @@ def test_norm_preserved_over_many_steps(rng):
 def test_trajectory_times_and_consistency(rng):
     model = LatticeModel(sites=6, mass=0.4, coupling=0.2)
     ham = build_hamiltonian(model)
-    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
-    psi /= np.linalg.norm(psi)
+    psi = _random_state(rng, ham)
     times = np.array([0.5, 1.0, 1.5])
     seen = list(trajectory(ham, psi, times))
     assert [t for t, _ in seen] == list(times)
@@ -88,4 +88,22 @@ def test_invalid_tolerance():
     model = LatticeModel(sites=4, mass=0.2, coupling=0.1)
     ham = build_hamiltonian(model)
     with pytest.raises(ValueError):
-        evolve(ham, np.ones(16, complex), 1.0, tol=0.0)
+        evolve(ham, np.ones(ham.dimension, complex), 1.0, tol=0.0)
+
+
+def test_happy_breakdown_is_exact():
+    # an eigenvector spans a one-dimensional Krylov space
+    H = np.diag([0.3, -1.1, 2.0])
+    psi = np.array([0.0, 1.0, 0.0], complex)
+    out = krylov_expm(_MatvecHam(H).apply, psi, 0.9)
+    assert np.abs(out - np.exp(1.1j * 0.9) * psi).max() < 1e-14
+
+
+def test_krylov_step_matches_dense_expm_on_sector_hamiltonian(rng):
+    # a long step needs a many-dimensional Krylov space
+    model = LatticeModel(sites=8, mass=0.5, coupling=0.6)
+    ham = build_hamiltonian(model)
+    psi = _random_state(rng, ham)
+    out = krylov_expm(ham.apply, psi, 4.0)
+    ref = dense_evolve(dense_hamiltonian(8, 0.5, 0.6), embed(ham.sector, psi), 4.0)
+    assert np.abs(embed(ham.sector, out) - ref).max() < 1e-9

@@ -10,15 +10,21 @@ from scatterqml.lattice import (
     free_modes,
     gaussian_wavepacket,
     ground_state,
-    half_filling_indices,
     momentum_coefficients,
+    number_sector,
     prepare_scattering_state,
     single_particle_matrix,
-    total_number_expectation,
 )
 from scatterqml.observables import site_densities
 
-from oracles import dense_ground_state, dense_hamiltonian, ff_single_particle
+from oracles import (
+    dense_ground_state,
+    dense_hamiltonian,
+    embed,
+    ff_single_particle,
+    sector_indices,
+    total_number_expectation,
+)
 
 
 def test_model_validation():
@@ -32,11 +38,29 @@ def test_model_validation():
         LatticeModel(sites=8, mass=0.1, coupling=0.1, spacing=0.5)
 
 
+@pytest.mark.parametrize("field", ["mass", "coupling"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_couplings(field, value):
+    kwargs = {"sites": 8, "mass": 0.4, "coupling": 0.5, field: value}
+    with pytest.raises(LatticeError, match="finite"):
+        LatticeModel(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["position_center", "momentum_width"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_wavepacket_rejects_non_finite_inputs(field, value):
+    kwargs = {"species": "fermion", "position_center": 2.0, "momentum_center": 0.9,
+              "momentum_width": 0.4, field: value}
+    with pytest.raises(LatticeError, match="finite"):
+        WavepacketSpec(**kwargs)
+
+
 @pytest.mark.parametrize("mass,coupling", [(0.0, 0.0), (0.7, 0.0), (0.3, 0.9)])
 def test_hamiltonian_matches_dense_operator_construction(mass, coupling):
     model = LatticeModel(sites=6, mass=mass, coupling=coupling)
     H = build_hamiltonian(model).matrix.toarray()
-    H_ref = dense_hamiltonian(6, mass, coupling)
+    sector = sector_indices(6, 3)
+    H_ref = dense_hamiltonian(6, mass, coupling)[np.ix_(sector, sector)]
     assert np.abs(H - H_ref).max() < 1e-12
 
 
@@ -45,9 +69,12 @@ def test_hamiltonian_is_hermitian_and_number_conserving():
     ham = build_hamiltonian(model)
     H = ham.matrix
     assert np.abs((H - H.conj().T).toarray()).max() < 1e-14
-    # every matrix element connects equal-occupation sectors
-    rows, cols = H.nonzero()
-    assert np.all(ham.occupations[rows] == ham.occupations[cols])
+    # the dense operator connects no half-filling state to another sector, so
+    # the sector Hamiltonian is all of H acting on half-filling states
+    inside = sector_indices(8, 4)
+    outside = np.setdiff1d(np.arange(1 << 8), inside)
+    assert np.abs(dense_hamiltonian(8, 0.4, 0.6)[np.ix_(outside, inside)]).max() == 0.0
+    assert np.array_equal(ham.sector.states, inside)
 
 
 def test_single_particle_two_site_eigenvalues():
@@ -89,7 +116,7 @@ def test_ground_state_matches_dense_oracle():
     psi, e0 = ground_state(ham)
     _, e_ref = dense_ground_state(6, 0.4, 0.5)
     assert abs(e0 - e_ref) < 1e-8
-    assert abs(total_number_expectation(ham, psi) - 3.0) < 1e-9
+    assert abs(total_number_expectation(embed(ham.sector, psi)) - 3.0) < 1e-9
 
 
 def test_free_ground_state_energy_is_sea_filling():
@@ -104,7 +131,8 @@ def test_half_filling_sector_size():
     ham = build_hamiltonian(LatticeModel(sites=8, mass=0.3, coupling=0.2))
     from math import comb
 
-    assert half_filling_indices(ham).size == comb(8, 4)
+    assert ham.dimension == sector_indices(8, 4).size == comb(8, 4)
+    assert number_sector(8, 4) is ham.sector  # built once, then shared
 
 
 def test_wavepacket_is_normalized_and_localized():
@@ -125,7 +153,8 @@ def test_fermion_packet_creation_weight_free_case():
     vacuum, _ = ground_state(ham)
     modes = free_modes(model)
     phi = gaussian_wavepacket(WavepacketSpec("fermion", 2.0, 0.9, 0.7), modes)
-    created = apply_wavepacket_operator(vacuum, phi, "fermion")
+    sector, created = apply_wavepacket_operator(ham.sector, vacuum, phi, "fermion")
+    assert sector.particles == 5
     assert abs(np.linalg.norm(created) - 1.0) < 1e-9
 
 
@@ -138,10 +167,11 @@ def test_scattering_state_properties():
     psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     # charge neutrality: one particle added, one removed
-    excess = site_densities(psi) - site_densities(vacuum)
+    excess = site_densities(ham.sector, psi) - site_densities(ham.sector, vacuum)
     assert abs(excess.sum()) < 1e-9
     assert abs(
-        total_number_expectation(ham, psi) - total_number_expectation(ham, vacuum)
+        total_number_expectation(embed(ham.sector, psi))
+        - total_number_expectation(embed(ham.sector, vacuum))
     ) < 1e-9
 
 
@@ -164,7 +194,7 @@ def test_packets_counter_propagate():
     from scatterqml.evolution import evolve
 
     def lump_centroids(state):
-        d = site_densities(state) - site_densities(vacuum)
+        d = site_densities(ham.sector, state) - site_densities(ham.sector, vacuum)
         pos = np.clip(d, 0, None)
         neg = np.clip(-d, 0, None)
         x = np.arange(12)

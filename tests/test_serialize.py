@@ -97,3 +97,22 @@ def test_wrong_kind_raises(tmp_path):
     save_model(path, "cnn51", np.zeros(51))
     with pytest.raises(SerializeError):
         load_dataset(path)
+
+
+def test_dataset_and_model_loaders_name_the_file(tmp_path):
+    truncated = tmp_path / "dataset.json"
+    truncated.write_text('{"schema": 1, "kind": "dataset", "features": [[0.1, ')
+    with pytest.raises(SerializeError, match=f"{truncated}: invalid JSON"):
+        load_dataset(truncated)
+    incomplete = tmp_path / "dataset2.json"
+    incomplete.write_text('{"schema": 1, "kind": "dataset"}\n')
+    with pytest.raises(SerializeError, match=f"{incomplete}: missing key 'features'"):
+        load_dataset(incomplete)
+    model = tmp_path / "model.json"
+    model.write_text('{"schema": 1, "kind": "model", "model": "cnn51"}\n')
+    with pytest.raises(SerializeError, match=f"{model}: missing key 'params'"):
+        load_model(model)
+    not_object = tmp_path / "model2.json"
+    not_object.write_text("[1, 2]\n")
+    with pytest.raises(SerializeError, match=f"{not_object}: expected a JSON object"):
+        load_model(not_object)
