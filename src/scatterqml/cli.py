@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .dataset import build_dataset, run_sweep, worker_count
+from .dataset import build_dataset, run_sweep
 from .serialize import (
     load_events,
     read_report_csv,
@@ -171,7 +171,6 @@ def cmd_experiment(args):
             print("error: --out is required with --events", file=sys.stderr)
             return 1
         out = Path(args.run_dir) / "report.csv"
-    workers = args.workers if args.workers is not None else worker_count()
     reports = []
     datasets = {}
     for model in args.models:
@@ -179,7 +178,7 @@ def cmd_experiment(args):
         if dim not in datasets:
             datasets[dim] = _dataset_for(events, values, dim)
         tc = cfgmod.train_config(values, model=model)
-        rep = run_experiment(datasets[dim], tc, workers=workers)
+        rep = run_experiment(datasets[dim], tc, workers=args.workers)
         reports.append(rep)
         sem = "n/a" if rep.final_sem is None else f"{rep.final_sem:.4f}"
         print(

@@ -4,6 +4,9 @@ A config file is plain text: one `key = value` per line, `#` comments and
 blank lines ignored.  List values are comma-separated.  Unknown keys are
 rejected.  The same keys can be overridden on the command line.
 
+The sweep and training keys are the fields of `SweepConfig` and
+`TrainConfig`; each value is parsed by its field's annotation.
+
 Sweep keys (defaults from the desk-scale sweep):
     masses, couplings, fermion_momenta, antifermion_momenta  float lists
     sites, time_horizon, time_step, sep_fraction, momentum_width
@@ -22,6 +25,8 @@ Training keys:
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 
 from .dataset import SweepConfig, desk_sweep_config
@@ -32,49 +37,48 @@ class ConfigError(ValueError):
     pass
 
 
-_FLOAT_LIST_KEYS = ("masses", "couplings", "fermion_momenta", "antifermion_momenta")
-_FLOAT_KEYS = (
-    "time_horizon",
-    "time_step",
-    "sep_fraction",
-    "momentum_width",
-    "test_fraction",
-    "learning_rate",
+def _float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _optional_float(none_word: str):
+    return lambda raw: None if raw == none_word else float(raw)
+
+
+def _model_name(raw: str) -> str:
+    if raw not in MODEL_NAMES:
+        raise ValueError(f"unknown model; choose from {MODEL_NAMES}")
+    return raw
+
+
+# One parser per field annotation (both dataclass modules postpone
+# annotations, so these are the annotation strings).
+_ANNOTATION_PARSERS = {
+    "tuple": _float_list,
+    "int": int,
+    "float": float,
+    "float | None": _optional_float("auto"),
+    "str": _model_name,
+}
+_PARSERS = {
+    f.name: _ANNOTATION_PARSERS[f.type]
+    for f in fields(SweepConfig) + fields(TrainConfig)
+}
+_PARSERS.update(
+    threshold=_optional_float("median"),
+    test_fraction=float,
+    split_seed=int,
+    n_components=int,
 )
-_INT_KEYS = (
-    "sites", "split_seed", "batch_size", "epochs", "runs", "base_seed",
-    "n_components",
-)
-_POSITION_KEYS = ("fermion_position", "antifermion_position")
-KNOWN_KEYS = frozenset(
-    _FLOAT_LIST_KEYS
-    + _FLOAT_KEYS
-    + _INT_KEYS
-    + _POSITION_KEYS
-    + ("threshold", "model")
-)
+KNOWN_KEYS = frozenset(_PARSERS)
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _POSITION_KEYS:
-            return None if raw == "auto" else float(raw)
-        if key == "threshold":
-            return None if raw == "median" else float(raw)
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-    if key == "model":
-        if raw not in MODEL_NAMES:
-            raise ConfigError(f"unknown model {raw!r}; choose from {MODEL_NAMES}")
-        return raw
-    raise ConfigError(f"unknown key {key!r}")
 
 
 def parse_assignments(pairs) -> dict:
@@ -113,32 +117,17 @@ def load_config(path) -> dict:
 
 def sweep_config(values: dict) -> SweepConfig:
     """SweepConfig from a config mapping, desk defaults for missing keys."""
-    base = desk_sweep_config()
-    kwargs = {}
-    for key in (
-        "masses",
-        "couplings",
-        "fermion_momenta",
-        "antifermion_momenta",
-        "sites",
-        "time_horizon",
-        "time_step",
-        "sep_fraction",
-        "momentum_width",
-        "fermion_position",
-        "antifermion_position",
-    ):
-        kwargs[key] = values.get(key, getattr(base, key))
-    return SweepConfig(**kwargs)
+    return replace(
+        desk_sweep_config(),
+        **{f.name: values[f.name] for f in fields(SweepConfig) if f.name in values},
+    )
 
 
 def train_config(values: dict, model: str | None = None) -> TrainConfig:
     """TrainConfig from a config mapping, optionally forcing the model name."""
-    kwargs = {}
-    for key in ("learning_rate", "batch_size", "epochs", "runs", "base_seed"):
-        if key in values:
-            kwargs[key] = values[key]
-    kwargs["model"] = model if model is not None else values.get("model", "qcnn4-hee")
+    kwargs = {f.name: values[f.name] for f in fields(TrainConfig) if f.name in values}
+    if model is not None:
+        kwargs["model"] = model
     return TrainConfig(**kwargs)
 
 

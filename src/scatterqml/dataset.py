@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,16 @@ def worker_count() -> int:
     return int(value)
 
 
+def ordered_map(fn, tasks, workers: int | None = None) -> list:
+    """[fn(t) for t in tasks], in a process pool of `workers` (default
+    worker_count()) when that is more than one and so are the tasks."""
+    n_workers = workers if workers is not None else worker_count()
+    if n_workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 class DatasetError(ValueError):
     pass
 
@@ -58,19 +68,24 @@ class SweepConfig:
     antifermion_position: float | None = None
 
     def __post_init__(self):
-        for name in ("masses", "couplings", "fermion_momenta", "antifermion_momenta"):
-            values = getattr(self, name)
-            if len(values) == 0:
-                raise DatasetError(f"{name} grid is empty")
-            if not np.all(np.isfinite(values)):
-                raise DatasetError(f"{name} must be finite, got {tuple(values)}")
-        for name in ("time_horizon", "time_step", "momentum_width",
-                     "fermion_position", "antifermion_position"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise DatasetError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple":
+                if len(value) == 0:
+                    raise DatasetError(f"{f.name} grid is empty")
+                if not np.all(np.isfinite(value)):
+                    raise DatasetError(f"{f.name} must be finite, got {tuple(value)}")
+            elif value is not None and not np.isfinite(value):
+                raise DatasetError(f"{f.name} must be finite, got {value}")
         if self.time_step <= 0:
             raise DatasetError(f"time_step must be positive, got {self.time_step}")
+        if self.time_horizon < self.time_step:
+            raise DatasetError(
+                f"time_horizon must be at least time_step ({self.time_step}), "
+                f"got {self.time_horizon}"
+            )
+        if self.momentum_width <= 0:
+            raise DatasetError(f"momentum_width must be positive, got {self.momentum_width}")
         if any(k > 0 for k in self.fermion_momenta) and any(
             k >= 0 for k in self.antifermion_momenta
         ):
@@ -242,12 +257,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[Scatterin
     tasks = [
         (config, m, g, momentum_pairs) for m in config.masses for g in config.couplings
     ]
-    n_workers = workers if workers is not None else worker_count()
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            groups = list(pool.map(_run_group, tasks))
-    else:
-        groups = [_run_group(t) for t in tasks]
+    groups = ordered_map(_run_group, tasks, workers)
     return [event for group in groups for event in group]
 
 

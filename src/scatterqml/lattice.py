@@ -33,20 +33,17 @@ MAX_SITES = 14  # largest lattice any test or benchmark covers
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Lattice size and couplings; spacing is fixed to one lattice unit."""
+    """Lattice size and couplings, in units of the lattice spacing."""
 
     sites: int
     mass: float
     coupling: float
-    spacing: float = 1.0
 
     def __post_init__(self):
         if self.sites % 2 != 0 or self.sites < 4:
             raise LatticeError(f"sites must be even and >= 4, got {self.sites}")
         if self.sites > MAX_SITES:
             raise LatticeError(f"sites must be <= {MAX_SITES}, got {self.sites}")
-        if self.spacing != 1.0:
-            raise LatticeError("lattice spacing is fixed to 1")
         if not (np.isfinite(self.mass) and np.isfinite(self.coupling)):
             raise LatticeError(
                 f"mass and coupling must be finite, got {self.mass} and {self.coupling}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -78,36 +79,8 @@ def _load_record(path, kind):
     return record
 
 
-def sweep_config_dict(config: SweepConfig) -> dict:
-    return {
-        "masses": list(config.masses),
-        "couplings": list(config.couplings),
-        "fermion_momenta": list(config.fermion_momenta),
-        "antifermion_momenta": list(config.antifermion_momenta),
-        "sites": config.sites,
-        "time_horizon": config.time_horizon,
-        "time_step": config.time_step,
-        "sep_fraction": config.sep_fraction,
-        "momentum_width": config.momentum_width,
-        "fermion_position": config.fermion_position,
-        "antifermion_position": config.antifermion_position,
-    }
-
-
-def sweep_config_from_dict(data: dict) -> SweepConfig:
-    return SweepConfig(
-        masses=tuple(data["masses"]),
-        couplings=tuple(data["couplings"]),
-        fermion_momenta=tuple(data["fermion_momenta"]),
-        antifermion_momenta=tuple(data["antifermion_momenta"]),
-        sites=int(data["sites"]),
-        time_horizon=float(data["time_horizon"]),
-        time_step=float(data["time_step"]),
-        sep_fraction=float(data["sep_fraction"]),
-        momentum_width=float(data["momentum_width"]),
-        fermion_position=data["fermion_position"],
-        antifermion_position=data["antifermion_position"],
-    )
+# How a SweepConfig field is rebuilt from its JSON value, by its annotation.
+_FIELD_DECODERS = {"tuple": tuple, "int": int, "float": float, "float | None": lambda v: v}
 
 
 def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> None:
@@ -115,26 +88,13 @@ def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> Non
     header = {
         "schema": SCHEMA_VERSION,
         "kind": "events",
-        "config": sweep_config_dict(config),
+        "config": dataclasses.asdict(config),
         "count": len(events),
     }
     with open(path, "w") as fh:
         fh.write(_dumps(header) + "\n")
         for ev in events:
-            fh.write(
-                _dumps(
-                    {
-                        "parameters": ev.parameters,
-                        "times": ev.times,
-                        "density_image": ev.density_image,
-                        "entropy_traces": ev.entropy_traces,
-                        "t_star": ev.t_star,
-                        "delta_s_mid": ev.delta_s_mid,
-                        "error": ev.error,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_dumps(dataclasses.asdict(ev)) + "\n")
 
 
 def load_events(path):
@@ -147,24 +107,21 @@ def load_events(path):
     header = _parse(lines[0], where)
     _check_schema(header, "events", where)
     with _fields(where):
-        config = sweep_config_from_dict(header["config"])
+        data = header["config"]
+        config = SweepConfig(**{
+            f.name: _FIELD_DECODERS[f.type](data[f.name])
+            for f in dataclasses.fields(SweepConfig)
+        })
         count = header["count"]
     events = []
     for lineno, line in enumerate(lines[1:], 2):
         where = f"{path} line {lineno}"
         d = _parse(line, where)
         with _fields(where):
-            events.append(
-                ScatteringEvent(
-                    parameters=d["parameters"],
-                    times=np.array(d["times"]),
-                    density_image=np.array(d["density_image"]),
-                    entropy_traces=np.array(d["entropy_traces"]),
-                    t_star=d["t_star"],
-                    delta_s_mid=d["delta_s_mid"],
-                    error=d["error"],
-                )
-            )
+            events.append(ScatteringEvent(**{
+                f.name: np.array(d[f.name]) if f.type == "np.ndarray" else d[f.name]
+                for f in dataclasses.fields(ScatteringEvent)
+            }))
     if len(events) != count:
         raise SerializeError(f"{path} declares {count} events but holds {len(events)}")
     return config, events

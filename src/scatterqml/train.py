@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import encode
 from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
-from .dataset import ProcessedDataset, worker_count
+from .dataset import ProcessedDataset, ordered_map
 from .qcnn import QcnnModel, adjoint_gradient, qcnn_forward
 
 MODEL_NAMES = (
     "qcnn4-hee", "qcnn4-tpe", "qcnn8-hee", "qcnn8-tpe",
     "qcnn16-hee", "qcnn16-tpe", "cnn51", "cnn113",
 )
+# Adam moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainError(RuntimeError):
@@ -26,9 +27,6 @@ class TrainError(RuntimeError):
 class TrainConfig:
     model: str = "qcnn4-hee"
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 30
     runs: int = 50
@@ -39,6 +37,12 @@ class TrainConfig:
             raise TrainError(f"unknown model {self.model!r}; choose from {MODEL_NAMES}")
         if self.epochs < 1 or self.runs < 1:
             raise TrainError("epochs and runs must be >= 1")
+        if self.batch_size < 1:
+            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
 
 def mse_loss(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -71,11 +75,11 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
     """One bias-corrected Adam update; returns (new params, new state)."""
     t = state.step + 1
-    m = config.beta1 * state.m + (1 - config.beta1) * grads
-    v = config.beta2 * state.v + (1 - config.beta2) * grads**2
-    m_hat = m / (1 - config.beta1**t)
-    v_hat = v / (1 - config.beta2**t)
-    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m=m, v=v, step=t)
 
 
@@ -230,13 +234,7 @@ def run_experiment(
     """
     seeds = [config.base_seed + i for i in range(config.runs)]
     tasks = [(dataset, config, s) for s in seeds]
-    n_workers = workers if workers is not None else worker_count()
-
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_train_one, tasks))
-    else:
-        outcomes = [_train_one(t) for t in tasks]
+    outcomes = ordered_map(_train_one, tasks, workers)
     results = [r for r in outcomes if isinstance(r, RunResult)]
     failures = [(s, r) for s, r in zip(seeds, outcomes) if isinstance(r, str)]
 

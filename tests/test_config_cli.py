@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from scatterqml.cli import main
 from scatterqml.config import (
+    KNOWN_KEYS,
     ConfigError,
     dataset_options,
     format_config,
@@ -14,8 +16,17 @@ from scatterqml.config import (
     sweep_config,
     train_config,
 )
-from scatterqml.dataset import desk_sweep_config
-from scatterqml.serialize import load_events, load_model, read_report_csv
+from scatterqml.dataset import SweepConfig, desk_sweep_config
+from scatterqml.serialize import (
+    SerializeError,
+    load_events,
+    load_model,
+    read_report_csv,
+    save_events,
+)
+from scatterqml.train import MODEL_NAMES, TrainConfig
+
+from conftest import tiny_sweep_config
 
 TINY_CFG = """
 # smoke-scale sweep
@@ -184,6 +195,81 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     assert code == 1
     assert "masses must be finite" in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("setting,key", [
+    ("time_horizon=0.2", "time_horizon"),
+    ("time_horizon=-3", "time_horizon"),
+    ("momentum_width=0", "momentum_width"),
+])
+def test_cli_bad_time_grid_or_width_fails_before_any_work(
+    tiny_cfg_file, tmp_path, capsys, setting, key
+):
+    run_dir = tmp_path / "run"
+    code = main(["gen-data", "--config", str(tiny_cfg_file),
+                 "--set", setting, "--out", str(run_dir)])
+    assert code == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def _other_value(field, default):
+    """A valid value of the field's annotated type that differs from default."""
+    if field.type == "tuple":
+        return tuple(v / 2 for v in default)
+    if field.type == "str":
+        return next(name for name in MODEL_NAMES if name != default)
+    if default is None:
+        return 2.0
+    return default + 2 if field.type == "int" else default / 2
+
+
+SWEEP_FIELDS = dataclasses.fields(SweepConfig)
+TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+
+
+def test_known_keys_are_the_config_fields_plus_the_dataset_keys():
+    names = {f.name for f in SWEEP_FIELDS + TRAIN_FIELDS}
+    assert KNOWN_KEYS == names | {"threshold", "test_fraction", "split_seed", "n_components"}
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=lambda f: f.name)
+def test_every_sweep_field_is_settable(field):
+    default = getattr(desk_sweep_config(), field.name)
+    value = _other_value(field, default)
+    assert value != default
+    values = parse_assignments([format_config({field.name: value}).strip()])
+    assert getattr(sweep_config(values), field.name) == value
+
+
+@pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
+def test_every_train_field_is_settable(field):
+    value = _other_value(field, field.default)
+    assert value != field.default
+    values = parse_assignments([format_config({field.name: value}).strip()])
+    assert getattr(train_config(values), field.name) == value
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=lambda f: f.name)
+def test_every_sweep_field_round_trips_through_the_events_header(field, tmp_path):
+    base = tiny_sweep_config()
+    value = _other_value(field, getattr(base, field.name))
+    config = dataclasses.replace(base, **{field.name: value})
+    path = tmp_path / "events.jsonl"
+    save_events(path, config, [])
+    loaded, events = load_events(path)
+    assert loaded == config and getattr(loaded, field.name) == value
+    assert events == []
+
+
+def test_events_header_without_a_config_field_names_the_file(tmp_path):
+    path = tmp_path / "events.jsonl"
+    save_events(path, desk_sweep_config(), [])
+    header = json.loads(path.read_text())
+    del header["config"]["sep_fraction"]
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(SerializeError, match=f"{path} line 1: missing key 'sep_fraction'"):
+        load_events(path)
 
 
 @pytest.mark.parametrize("command", [

@@ -56,6 +56,20 @@ def test_sweep_config_rejects_non_positive_time_step():
         dataclasses.replace(tiny_sweep_config(), time_step=0.0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("time_horizon", 0.2, "time_horizon must be at least time_step"),
+    ("time_horizon", 0.0, "time_horizon must be at least time_step"),
+    ("time_horizon", -3.0, "time_horizon must be at least time_step"),
+    ("momentum_width", 0.0, "momentum_width must be positive"),
+    ("momentum_width", -0.4, "momentum_width must be positive"),
+])
+def test_sweep_config_rejects_an_empty_time_grid_or_packet_width(field, value, message):
+    with pytest.raises(DatasetError, match=message):
+        dataclasses.replace(tiny_sweep_config(), **{field: value})
+    # a horizon of exactly one step still records that step
+    assert len(dataclasses.replace(tiny_sweep_config(), time_horizon=0.5).times) == 1
+
+
 def test_grid_cardinality_and_order():
     cfg = tiny_sweep_config()
     grid = cfg.grid()

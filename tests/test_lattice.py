@@ -34,8 +34,6 @@ def test_model_validation():
         LatticeModel(sites=2, mass=0.1, coupling=0.1)
     with pytest.raises(LatticeError):
         LatticeModel(sites=16, mass=0.1, coupling=0.1)
-    with pytest.raises(LatticeError):
-        LatticeModel(sites=8, mass=0.1, coupling=0.1, spacing=0.5)
 
 
 @pytest.mark.parametrize("field", ["mass", "coupling"])

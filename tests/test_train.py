@@ -47,6 +47,12 @@ def test_train_config_validation():
         TrainConfig(model="qcnn3-hee")
     with pytest.raises(TrainError):
         TrainConfig(epochs=0)
+    for batch_size in (0, -4):
+        with pytest.raises(TrainError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+    for learning_rate in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(TrainError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
 
 
 def test_mse_and_accuracy():
