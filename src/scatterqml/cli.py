@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .dataset import build_dataset, run_sweep
+from .dataset import build_dataset, check_dataset_options, run_sweep
 from .serialize import (
     load_events,
     read_report_csv,
@@ -115,6 +115,8 @@ def _dataset_for(events, values, n_components):
 def cmd_gen_data(args):
     values = _load_values(args)
     sweep = cfgmod.sweep_config(values)
+    n_components = values.get("n_components", 4)
+    check_dataset_options(n_components, **cfgmod.dataset_options(values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events = run_sweep(sweep, workers=args.workers)
@@ -122,7 +124,7 @@ def cmd_gen_data(args):
     errors = sum(1 for e in events if e.error)
     labeled = sum(1 for e in events if e.delta_s_mid is not None)
     print(f"wrote {len(events)} events ({labeled} labeled, {errors} failed)")
-    dataset = _dataset_for(events, values, values.get("n_components", 4))
+    dataset = _dataset_for(events, values, n_components)
     save_dataset(out / "dataset.json", dataset)
     print(
         f"wrote dataset: {dataset.labels.size} balanced events, "

@@ -332,6 +332,11 @@ def balance_and_split(labels: np.ndarray, test_fraction: float, seed: int):
 
     train_idx, test_idx = [], []
     n_test = int(round(test_fraction * n_keep))
+    if n_test >= n_keep:
+        raise DatasetError(
+            f"test_fraction {test_fraction} leaves no training events "
+            f"of {n_keep} per class"
+        )
     for cls in (0, 1):
         idx = per_class[cls]
         if idx.size > n_keep:
@@ -365,6 +370,23 @@ class ProcessedDataset:
         return self.features[self.test_idx], self.labels[self.test_idx]
 
 
+def check_dataset_options(
+    n_components: int,
+    threshold: float | None = None,
+    test_fraction: float = 0.2,
+    seed: int = 0,
+) -> None:
+    """Reject dataset options build_dataset() cannot use, naming the config key."""
+    if n_components < 1:
+        raise DatasetError(f"n_components must be a positive integer, got {n_components}")
+    if threshold is not None and not np.isfinite(threshold):
+        raise DatasetError(f"threshold must be finite or 'median', got {threshold}")
+    if not 0 < test_fraction < 1:
+        raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise DatasetError(f"split_seed must be a non-negative integer, got {seed}")
+
+
 def build_dataset(
     events: list[ScatteringEvent],
     n_components: int,
@@ -378,6 +400,7 @@ def build_dataset(
     excluded.  When threshold is None the median of the excess central
     entropies is used, which keeps both classes populated at small lattices.
     """
+    check_dataset_options(n_components, threshold, test_fraction, seed)
     usable = [
         (i, ev)
         for i, ev in enumerate(events)

@@ -201,6 +201,12 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     ("time_horizon=0.2", "time_horizon"),
     ("time_horizon=-3", "time_horizon"),
     ("momentum_width=0", "momentum_width"),
+    ("n_components=-2", "n_components"),
+    ("n_components=0", "n_components"),
+    ("test_fraction=1.5", "test_fraction"),
+    ("test_fraction=-0.5", "test_fraction"),
+    ("threshold=nan", "threshold"),
+    ("split_seed=-1", "split_seed"),
 ])
 def test_cli_bad_time_grid_or_width_fails_before_any_work(
     tiny_cfg_file, tmp_path, capsys, setting, key

@@ -196,6 +196,8 @@ def test_balance_and_split_properties():
     assert np.array_equal(train, train2) and np.array_equal(test, test2)
     with pytest.raises(DatasetError):
         balance_and_split(np.array([0, 0, 0, 1]), 0.2, seed=0)
+    with pytest.raises(DatasetError, match="no training events"):
+        balance_and_split(np.array([0] * 5 + [1] * 5), 0.95, seed=0)
 
 
 def test_build_dataset_median_threshold(tiny_events):
@@ -227,6 +229,18 @@ def test_build_dataset_excludes_failed_events(tiny_events):
     )
     ds = build_dataset(broken + [bad], n_components=4, seed=0)
     assert len(broken) >= ds.labels.size  # the failed event contributed nothing
+
+
+@pytest.mark.parametrize("options,key", [
+    ({"n_components": 0}, "n_components"),
+    ({"n_components": 2, "threshold": float("inf")}, "threshold"),
+    ({"n_components": 2, "test_fraction": 1.0}, "test_fraction"),
+    ({"n_components": 2, "seed": -1}, "split_seed"),
+])
+def test_build_dataset_checks_its_options_first(options, key):
+    # no events at all: the option check must fire before the event count check
+    with pytest.raises(DatasetError, match=f"^{key} must be"):
+        build_dataset([], **options)
 
 
 def test_worker_count_env(monkeypatch):

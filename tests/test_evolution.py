@@ -99,11 +99,29 @@ def test_happy_breakdown_is_exact():
     assert np.abs(out - np.exp(1.1j * 0.9) * psi).max() < 1e-14
 
 
-def test_krylov_step_matches_dense_expm_on_sector_hamiltonian(rng):
-    # a long step needs a many-dimensional Krylov space
-    model = LatticeModel(sites=8, mass=0.5, coupling=0.6)
+@pytest.mark.parametrize("sites,dt", [
+    (8, 0.5),
+    (8, 4.0),
+    (8, 30.0),
+    # the Krylov dimension reaches the sector dimension, C(6, 3) = 20
+    (6, 10.0),
+    (6, 30.0),
+])
+def test_krylov_step_matches_dense_expm_on_sector_hamiltonian(rng, sites, dt):
+    # long steps need many-dimensional Krylov spaces
+    model = LatticeModel(sites=sites, mass=0.5, coupling=0.6)
     ham = build_hamiltonian(model)
     psi = _random_state(rng, ham)
-    out = krylov_expm(ham.apply, psi, 4.0)
-    ref = dense_evolve(dense_hamiltonian(8, 0.5, 0.6), embed(ham.sector, psi), 4.0)
+    out = krylov_expm(ham.apply, psi, dt)
+    ref = dense_evolve(dense_hamiltonian(sites, 0.5, 0.6), embed(ham.sector, psi), dt)
     assert np.abs(embed(ham.sector, out) - ref).max() < 1e-9
+
+
+def test_non_hermitian_matvec_raises_instead_of_renormalising(rng):
+    # without reorthogonalisation a non-Hermitian matvec spoils the basis,
+    # and the norm of the assembled step shows it
+    ham = build_hamiltonian(LatticeModel(sites=8, mass=0.5, coupling=0.6))
+    anti_hermitian = 0.5j * ham.matrix.diagonal()
+    psi = _random_state(rng, ham)
+    with pytest.raises(EvolutionError, match="norm"):
+        krylov_expm(lambda v: ham.apply(v) + anti_hermitian * v, psi, 1.0)
