@@ -1,10 +1,19 @@
 """Minimal batched statevector circuit simulator and data encodings.
 
 States are arrays of shape (batch, 2**n) with qubit q stored in bit q of the
-basis index.  Circuits are described as Gate lists but simulated as fused 4x4
-blocks applied by tensor contraction to a whole batch at once; gradients use
-each block's 4x4 environment matrix.  Gate-by-gate simulation and the
-parameter-shift rule are test oracles only (tests/oracles.py).
+basis index.  Circuits are described as Gate lists on two local qubits, fused
+into one 4x4 block (fuse_pair) and applied by tensor contraction to a whole
+batch at once on every qubit pair that shares the block (apply_unitary).
+
+Gradients need no derivative matrices.  A rotation R(theta) = exp(-i theta
+sigma / 2) has dR/dtheta = -(i/2) sigma R, so with the block's 4x4
+environment E (pair_environment: the adjoint state after the block against
+the state before it) and W = B E^T U B^dagger, where B is the product of the
+block's gates up to and including the rotation, its parameter gets
+Im tr(sigma~ W), sigma~ being the generator (GENERATORS) embedded in the 4x4
+space (embed_pair).  Gate-by-gate simulation, the gate lists of the
+encodings and the parameter-shift rule are test oracles only
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -38,6 +47,12 @@ CNOT = np.array(
 )
 
 _ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
+# Pauli generator sigma of each rotation, R(theta) = exp(-i theta sigma / 2)
+GENERATORS = {
+    "rx": np.array([[0, 1], [1, 0]], complex),
+    "ry": np.array([[0, -1j], [1j, 0]]),
+    "rz": np.diag([1.0, -1.0]).astype(complex),
+}
 _I2 = np.eye(2)
 
 
@@ -85,39 +100,22 @@ def pair_environment(bra: np.ndarray, ket: np.ndarray, qubits: tuple) -> np.ndar
     return bra.reshape(4, -1).conj() @ ket.reshape(4, -1).T
 
 
-def fuse_pair(gates: list[Gate], params: np.ndarray):
-    """4x4 product U of a gate list on local qubits 0 and 1, and its derivatives.
-
-    Local qubit 1 is the first tensor factor, as in apply_unitary.  Returns
-    (U, [(param index, dU/dtheta)]), one entry per trainable gate: the gates
-    after it times dR/dtheta = R(theta + pi)/2 times the gates before it."""
-
-    def embed(gate, M):
-        if len(gate.qubits) == 2:
-            return M if gate.qubits == (1, 0) else M[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
-        a, b = (M, _I2) if gate.qubits == (1,) else (_I2, M)
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)  # kron(a, b)
-
-    mats = [embed(g, g.matrix(params)) for g in gates]
-    prefix = [np.eye(4)]  # prefix[i]: product of the gates before gate i
-    for M in mats:
-        prefix.append(M @ prefix[-1])
-    suffix = [np.eye(4)]  # suffix[i]: product of gate i and the gates after it
-    for M in reversed(mats):
-        suffix.insert(0, suffix[0] @ M)
-    derivs = [
-        (g.param, suffix[i + 1] @ embed(g, 0.5 * g.matrix(params, shift=np.pi)) @ prefix[i])
-        for i, g in enumerate(gates)
-        if g.param is not None
-    ]
-    return prefix[-1], derivs
+def embed_pair(gate: Gate, M: np.ndarray) -> np.ndarray:
+    """A gate's 2x2 or 4x4 matrix as a 4x4 matrix on local qubits (1, 0)."""
+    if len(gate.qubits) == 2:
+        return M if gate.qubits == (1, 0) else M[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+    a, b = (M, _I2) if gate.qubits == (1,) else (_I2, M)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)  # kron(a, b)
 
 
-def run_blocks(program: list, state: np.ndarray) -> np.ndarray:
-    """Apply a block program [(4x4 block, qubit pair, derivatives), ...]."""
-    for U, qubits, _ in program:
-        state = apply_unitary(state, U, qubits)
-    return state
+def fuse_pair(gates: list[Gate], params: np.ndarray) -> np.ndarray:
+    """4x4 product of a gate list on local qubits 0 and 1.
+
+    Local qubit 1 is the first tensor factor, as in apply_unitary."""
+    U = np.eye(4, dtype=complex)
+    for g in gates:
+        U = embed_pair(g, g.matrix(params)) @ U
+    return U
 
 
 def z_expectation(state: np.ndarray, qubit: int) -> np.ndarray:
@@ -127,31 +125,14 @@ def z_expectation(state: np.ndarray, qubit: int) -> np.ndarray:
     return np.real(np.sum(signs * np.abs(state) ** 2, axis=1))
 
 
-def encoding_program(n_qubits: int, kind: str) -> list[Gate]:
-    """Angle-encoding circuit: one Ry per qubit per repetition.
-
-    "tpe" is a single product layer with no entangling gates; "hee" repeats
-    the rotation layer twice with a linear CNOT chain after each repetition.
-    """
-    if kind not in ("hee", "tpe"):
-        raise CircuitError(f"unknown encoding {kind!r}")
-    gates = []
-    reps = 2 if kind == "hee" else 1
-    for _ in range(reps):
-        for q in range(n_qubits):
-            gates.append(Gate("ry", (q,), param=q))
-        if kind == "hee":
-            for q in range(n_qubits - 1):
-                gates.append(Gate("cnot", (q, q + 1)))
-    return gates
-
-
 def encode(angles: np.ndarray, n_qubits: int, kind: str) -> np.ndarray:
     """Encode a batch of angle vectors (rows) into statevectors.
 
-    Runs encoding_program batched: a per-sample Kronecker product for the
-    first Ry layer, then per CNOT chain one basis permutation and per-sample
-    2x2 rotations for the second HEE layer."""
+    "tpe" is one Ry(angle) per qubit; "hee" is that layer, a CNOT chain
+    (q, q+1) for q = 0..n-2, a second Ry layer and the same chain again.  Run
+    batched: a per-sample Kronecker product for the first Ry layer, then per
+    CNOT chain one basis permutation and per-sample 2x2 rotations for the
+    second HEE layer."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != n_qubits:
         raise CircuitError(

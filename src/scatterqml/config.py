@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-import numpy as np
-
 from .dataset import SweepConfig, desk_sweep_config
 from .train import MODEL_NAMES, TrainConfig
 
@@ -144,20 +142,3 @@ def model_input_dim(model: str) -> int:
     if model.startswith("qcnn"):
         return int(model[4:].split("-")[0])
     return 4
-
-
-def format_config(values: dict) -> str:
-    """Render a mapping back to the key=value file format."""
-    lines = []
-    for key in sorted(values):
-        value = values[key]
-        if isinstance(value, tuple):
-            rendered = ", ".join(repr(float(v)) for v in value)
-        elif value is None:
-            rendered = "median" if key == "threshold" else "auto"
-        elif isinstance(value, (float, np.floating)):
-            rendered = repr(float(value))
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"

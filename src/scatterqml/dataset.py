@@ -337,6 +337,10 @@ def balance_and_split(labels: np.ndarray, test_fraction: float, seed: int):
             f"test_fraction {test_fraction} leaves no training events "
             f"of {n_keep} per class"
         )
+    if n_test == 0:
+        raise DatasetError(
+            f"test_fraction {test_fraction} leaves no test events of {n_keep} per class"
+        )
     for cls in (0, 1):
         idx = per_class[cls]
         if idx.size > n_keep:

@@ -8,15 +8,22 @@ trace, and the free-field references use the single-particle correlation
 matrix.  The package works on particle-number sectors; ``embed`` places a
 sector state into the full space (at the basis states the package's
 ``Sector`` lists) so that it can be compared with these references.  The
-circuit references at the end simulate one gate at a time.
+circuit references simulate one gate at a time, and ``format_config``
+renders a config mapping back to file text for the round-trip tests.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from scatterqml.circuits import apply_unitary, encoding_program, z_expectation
+from scatterqml.circuits import CircuitError, Gate, apply_unitary, z_expectation
 from scatterqml.observables import ObservableError, entanglement_entropy
-from scatterqml.qcnn import build_program
+from scatterqml.qcnn import (
+    PARAMS_PER_CONV,
+    PARAMS_PER_LAYER,
+    PARAMS_PER_POOL,
+    conv_block_gates,
+    pool_block_gates,
+)
 
 I2 = np.eye(2)
 PAULI_Z = np.diag([1.0, -1.0])
@@ -244,9 +251,10 @@ def finite_difference_gradient(fn, params: np.ndarray, step: float) -> np.ndarra
 
 # --- gate-by-gate circuit references ---
 #
-# These run a circuit one Gate at a time through the package's Gate matrices
+# These build the encoding and QCNN gate programs here (conv and pool stages
+# unfused) and run them one Gate at a time through the package's Gate matrices
 # and apply_unitary (both checked against truth tables in test_circuits), so
-# they are independent of the fused block program, the environment-matrix
+# they are independent of the fused layer blocks, the environment-matrix
 # gradient and the batched encoding they are compared with.
 
 
@@ -271,6 +279,65 @@ def run_program(gates, state, params, shift_at=None, shift=0.0):
         s = shift if i == shift_at else 0.0
         out = apply_unitary(out, gate.matrix(params, s), gate.qubits)
     return out
+
+
+def encoding_program(n_qubits: int, kind: str) -> list[Gate]:
+    """Angle-encoding circuit: one Ry per qubit per repetition.
+
+    "tpe" is a single product layer with no entangling gates; "hee" repeats
+    the rotation layer twice with a linear CNOT chain after each repetition.
+    """
+    if kind not in ("hee", "tpe"):
+        raise CircuitError(f"unknown encoding {kind!r}")
+    gates = []
+    reps = 2 if kind == "hee" else 1
+    for _ in range(reps):
+        for q in range(n_qubits):
+            gates.append(Gate("ry", (q,), param=q))
+        if kind == "hee":
+            for q in range(n_qubits - 1):
+                gates.append(Gate("cnot", (q, q + 1)))
+    return gates
+
+
+def build_program(model):
+    """Gate program of the QCNN's trainable part and the final readout qubit.
+
+    Per layer every conv block is applied to the layer's pairs, then every
+    pool block, so the program does not rely on conv/pool fusion."""
+    active = list(range(model.n_qubits))
+    gates = []
+    for layer in range(model.n_layers):
+        base = layer * PARAMS_PER_LAYER
+        pairs = [(active[i], active[i + 1]) for i in range(0, len(active), 2)]
+        gates += [g for a, b in pairs for g in conv_block_gates(a, b, base)]
+        gates += [g for a, b in pairs for g in pool_block_gates(a, b, base + PARAMS_PER_CONV)]
+        active = [b for _, b in pairs]
+    if len(active) != 1:
+        raise CircuitError("active set did not reduce to a single qubit")
+    return gates, active[0]
+
+
+def pair_unitary(gates, params):
+    """4x4 matrix of a gate list on qubits (1, 0), column j = image of |j>."""
+    return run_program(gates, np.eye(4, dtype=complex), params).T
+
+
+def conv_block(params):
+    """4x4 unitary of one convolution block; exact identity at zero parameters."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (PARAMS_PER_CONV,):
+        raise CircuitError(f"conv block takes {PARAMS_PER_CONV} parameters")
+    U = pair_unitary(conv_block_gates(1, 0, 0), params)
+    return U * np.exp(0.25j * np.pi)  # cancel the fixed offsets' global phase
+
+
+def pool_block(params):
+    """4x4 unitary of one pooling fragment (source = qubit 1, target = qubit 0)."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (PARAMS_PER_POOL,):
+        raise CircuitError(f"pool block takes {PARAMS_PER_POOL} parameters")
+    return pair_unitary(pool_block_gates(1, 0, 0), params)
 
 
 def gate_encode(angles, n_qubits, kind):
@@ -349,3 +416,23 @@ def gate_adjoint_gradient(model, states, labels):
             grad[g.param] += 2.0 * np.real(np.sum(np.conj(lam) * dpsi))
         lam = apply_unitary(lam, U.conj().T, g.qubits)
     return grad
+
+
+# --- config file rendering ---
+
+
+def format_config(values: dict) -> str:
+    """Render a mapping back to the key=value file format."""
+    lines = []
+    for key in sorted(values):
+        value = values[key]
+        if isinstance(value, tuple):
+            rendered = ", ".join(repr(float(v)) for v in value)
+        elif value is None:
+            rendered = "median" if key == "threshold" else "auto"
+        elif isinstance(value, (float, np.floating)):
+            rendered = repr(float(value))
+        else:
+            rendered = str(value)
+        lines.append(f"{key} = {rendered}")
+    return "\n".join(lines) + "\n"

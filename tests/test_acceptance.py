@@ -18,7 +18,7 @@ from scatterqml.dataset import (
     desk_sweep_config,
     run_sweep,
 )
-from scatterqml.circuits import encode, encoding_program
+from scatterqml.circuits import encode
 from scatterqml.cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from scatterqml.evolution import evolve, trajectory
 from scatterqml.lattice import (
@@ -33,7 +33,6 @@ from scatterqml.observables import entanglement_entropy, site_densities
 from scatterqml.qcnn import (
     QcnnModel,
     adjoint_gradient,
-    build_program,
     conv_block_gates,
     pool_block_gates,
     qcnn_forward,
@@ -43,6 +42,7 @@ from scatterqml.train import TrainConfig, run_experiment
 
 from conftest import tiny_sweep_config
 from oracles import (
+    build_program,
     count_cnots,
     count_parameters,
     dense_entropy,
@@ -52,6 +52,7 @@ from oracles import (
     dense_number_operator,
     dense_site_densities,
     embed,
+    encoding_program,
     ff_block_entropy,
     ff_evolve_projector,
     ff_scattering_projector,

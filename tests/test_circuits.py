@@ -6,7 +6,6 @@ from scatterqml.circuits import (
     CircuitError,
     apply_unitary,
     encode,
-    encoding_program,
     pair_environment,
     rx,
     ry,
@@ -14,7 +13,7 @@ from scatterqml.circuits import (
     z_expectation,
 )
 
-from oracles import count_cnots, count_parameters, gate_encode, zero_state
+from oracles import count_cnots, count_parameters, encoding_program, gate_encode, zero_state
 
 
 def test_rotations_are_unitary_and_periodic(rng):

@@ -9,7 +9,6 @@ from scatterqml.config import (
     KNOWN_KEYS,
     ConfigError,
     dataset_options,
-    format_config,
     load_config,
     model_input_dim,
     parse_assignments,
@@ -27,6 +26,7 @@ from scatterqml.serialize import (
 from scatterqml.train import MODEL_NAMES, TrainConfig
 
 from conftest import tiny_sweep_config
+from oracles import format_config
 
 TINY_CFG = """
 # smoke-scale sweep

@@ -198,6 +198,8 @@ def test_balance_and_split_properties():
         balance_and_split(np.array([0, 0, 0, 1]), 0.2, seed=0)
     with pytest.raises(DatasetError, match="no training events"):
         balance_and_split(np.array([0] * 5 + [1] * 5), 0.95, seed=0)
+    with pytest.raises(DatasetError, match="test_fraction 0.05 leaves no test events of 5 per class"):
+        balance_and_split(np.array([0] * 5 + [1] * 5), 0.05, seed=0)
 
 
 def test_build_dataset_median_threshold(tiny_events):

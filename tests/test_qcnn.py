@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
+from scatterqml import circuits
 from scatterqml.circuits import CircuitError, encode
 from scatterqml.qcnn import (
     PARAMS_PER_CONV,
     PARAMS_PER_POOL,
     QcnnModel,
     adjoint_gradient,
-    build_program,
-    conv_block,
     conv_block_gates,
-    pool_block,
     pool_block_gates,
     qcnn_forward,
     qcnn_predict,
 )
 
 from oracles import (
+    build_program,
+    conv_block,
     count_cnots,
     count_parameters,
     finite_difference_gradient,
     gate_adjoint_gradient,
     gate_forward,
     parameter_shift_gradient,
+    pool_block,
 )
 
 
@@ -142,10 +143,24 @@ def test_adjoint_agrees_with_parameter_shift(rng):
         assert np.abs(adj - fd).max() < 1e-6
 
 
-def test_block_forward_matches_gate_by_gate_at_16_qubits(rng):
-    model = QcnnModel.random(16, seed=16)
-    states = encode(rng.uniform(0, np.pi, size=(2, 16)), 16, "hee")
+@pytest.mark.parametrize("kind", ["hee", "tpe"])
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_layer_blocks_match_gate_by_gate(rng, width, kind):
+    model = QcnnModel.random(width, encoding=kind, seed=width)
+    states = encode(rng.uniform(0, np.pi, size=(2, width)), width, kind)
+    labels = np.array([0.0, 1.0])
     assert np.abs(qcnn_forward(model, states) - gate_forward(model, states)).max() < 1e-12
+    adj = adjoint_gradient(model, states, labels)
+    assert np.abs(adj - gate_adjoint_gradient(model, states, labels)).max() < 1e-12
+
+
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_forward_applies_one_block_per_pair_and_layer(monkeypatch, width):
+    calls = []
+    apply = circuits.apply_unitary
+    monkeypatch.setattr(circuits, "apply_unitary", lambda *args: calls.append(1) or apply(*args))
+    qcnn_forward(QcnnModel.random(width), encode(np.zeros((1, width)), width, "tpe"))
+    assert len(calls) == width - 1  # conv and pool fused into one block per pair
 
 
 def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
