@@ -22,7 +22,7 @@ def main():
     )
     print(f"running {len(config.grid())} trajectories...")
     events = run_sweep(config)
-    dataset = build_dataset(events, n_components=4, seed=0)
+    dataset = build_dataset(events)
     print(f"dataset: {dataset.labels.size} events, threshold {dataset.threshold:.3f}\n")
 
     for name in ("qcnn4-hee", "cnn51"):

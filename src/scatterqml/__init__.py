@@ -32,13 +32,14 @@ from .observables import (
 )
 from .dataset import (
     SweepConfig,
+    DatasetConfig,
     ScatteringEvent,
     desk_sweep_config,
     run_sweep,
     build_dataset,
 )
-from .qcnn import QcnnModel, qcnn_predict
-from .cnn import cnn51, cnn113, cnn_predict
+from .qcnn import QcnnModel
+from .cnn import cnn51, cnn113
 from .train import TrainConfig, train, run_experiment
 
 __all__ = [
@@ -61,15 +62,14 @@ __all__ = [
     "excess_entropy",
     "site_densities",
     "SweepConfig",
+    "DatasetConfig",
     "ScatteringEvent",
     "desk_sweep_config",
     "run_sweep",
     "build_dataset",
     "QcnnModel",
-    "qcnn_predict",
     "cnn51",
     "cnn113",
-    "cnn_predict",
     "TrainConfig",
     "train",
     "run_experiment",

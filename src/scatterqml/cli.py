@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
-from .dataset import build_dataset, check_dataset_options, run_sweep
+from .dataset import build_dataset, run_sweep
 from .serialize import (
     load_events,
     read_report_csv,
@@ -21,7 +22,7 @@ from .serialize import (
     save_model,
     write_report_csv,
 )
-from .train import MODEL_NAMES, run_experiment, train
+from .train import MODEL_NAMES, input_width, run_experiment, train
 
 
 def _add_common(parser):
@@ -106,17 +107,10 @@ def _build_parser():
     return parser
 
 
-def _dataset_for(events, values, n_components):
-    return build_dataset(
-        events, n_components=n_components, **cfgmod.dataset_options(values)
-    )
-
-
 def cmd_gen_data(args):
     values = _load_values(args)
     sweep = cfgmod.sweep_config(values)
-    n_components = values.get("n_components", 4)
-    check_dataset_options(n_components, **cfgmod.dataset_options(values))
+    options = cfgmod.dataset_config(values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events = run_sweep(sweep, workers=args.workers)
@@ -124,7 +118,7 @@ def cmd_gen_data(args):
     errors = sum(1 for e in events if e.error)
     labeled = sum(1 for e in events if e.delta_s_mid is not None)
     print(f"wrote {len(events)} events ({labeled} labeled, {errors} failed)")
-    dataset = _dataset_for(events, values, n_components)
+    dataset = build_dataset(events, options)
     save_dataset(out / "dataset.json", dataset)
     print(
         f"wrote dataset: {dataset.labels.size} balanced events, "
@@ -136,8 +130,9 @@ def cmd_gen_data(args):
 def cmd_train(args):
     values = _load_values(args)
     tc = cfgmod.train_config(values, model=args.model)
+    options = replace(cfgmod.dataset_config(values), n_components=input_width(tc.model))
     _, events = load_events(_events_path(args))
-    dataset = _dataset_for(events, values, cfgmod.model_input_dim(tc.model))
+    dataset = build_dataset(events, options)
     result = train(dataset, tc, seed=args.seed)
     print(
         f"{tc.model} seed {args.seed}: "
@@ -166,6 +161,7 @@ def cmd_train(args):
 
 def cmd_experiment(args):
     values = _load_values(args)
+    options = cfgmod.dataset_config(values)
     _, events = load_events(_events_path(args))
     out = args.out
     if out is None:
@@ -176,11 +172,11 @@ def cmd_experiment(args):
     reports = []
     datasets = {}
     for model in args.models:
-        dim = cfgmod.model_input_dim(model)
-        if dim not in datasets:
-            datasets[dim] = _dataset_for(events, values, dim)
+        width = input_width(model)
+        if width not in datasets:
+            datasets[width] = build_dataset(events, replace(options, n_components=width))
         tc = cfgmod.train_config(values, model=model)
-        rep = run_experiment(datasets[dim], tc, workers=args.workers)
+        rep = run_experiment(datasets[width], tc, workers=args.workers)
         reports.append(rep)
         sem = "n/a" if rep.final_sem is None else f"{rep.final_sem:.4f}"
         print(

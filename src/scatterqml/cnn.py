@@ -182,8 +182,3 @@ def cnn_backward(model: CnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         pieces.append(gW.ravel())
         pieces.append(gb)
     return np.concatenate(pieces)
-
-
-def cnn_predict(model: CnnModel, angles: np.ndarray) -> np.ndarray:
-    """Evaluate on angle-scaled features by rescaling them to [0, 1]."""
-    return cnn_forward(model, np.asarray(angles, dtype=float) / np.pi)

@@ -4,8 +4,9 @@ A config file is plain text: one `key = value` per line, `#` comments and
 blank lines ignored.  List values are comma-separated.  Unknown keys are
 rejected.  The same keys can be overridden on the command line.
 
-The sweep and training keys are the fields of `SweepConfig` and
-`TrainConfig`; each value is parsed by its field's annotation.
+The keys are the fields of `SweepConfig`, `DatasetConfig` and `TrainConfig`.
+Each value is parsed by its field's annotation; a field that may be None
+carries the word that spells None ("auto", "median") in its metadata.
 
 Sweep keys (defaults from the desk-scale sweep):
     masses, couplings, fermion_momenta, antifermion_momenta  float lists
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .dataset import SweepConfig, desk_sweep_config
+from .dataset import DatasetConfig, SweepConfig, desk_sweep_config
 from .train import MODEL_NAMES, TrainConfig
 
 
@@ -39,35 +40,34 @@ def _float_list(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _optional_float(none_word: str):
-    return lambda raw: None if raw == none_word else float(raw)
-
-
 def _model_name(raw: str) -> str:
     if raw not in MODEL_NAMES:
         raise ValueError(f"unknown model; choose from {MODEL_NAMES}")
     return raw
 
 
-# One parser per field annotation (both dataclass modules postpone
+# One parser per field annotation (the dataclass modules postpone
 # annotations, so these are the annotation strings).
 _ANNOTATION_PARSERS = {
     "tuple": _float_list,
     "int": int,
     "float": float,
-    "float | None": _optional_float("auto"),
     "str": _model_name,
 }
+
+
+def _field_parser(f):
+    none_word = f.metadata.get("none")
+    if none_word is None:
+        return _ANNOTATION_PARSERS[f.type]
+    return lambda raw: None if raw == none_word else float(raw)
+
+
 _PARSERS = {
-    f.name: _ANNOTATION_PARSERS[f.type]
-    for f in fields(SweepConfig) + fields(TrainConfig)
+    f.name: _field_parser(f)
+    for cls in (SweepConfig, DatasetConfig, TrainConfig)
+    for f in fields(cls)
 }
-_PARSERS.update(
-    threshold=_optional_float("median"),
-    test_fraction=float,
-    split_seed=int,
-    n_components=int,
-)
 KNOWN_KEYS = frozenset(_PARSERS)
 
 
@@ -113,32 +113,24 @@ def load_config(path) -> dict:
     return values
 
 
+def _filled(base, values: dict):
+    """`base` with the fields that `values` sets replaced."""
+    return replace(
+        base, **{f.name: values[f.name] for f in fields(base) if f.name in values}
+    )
+
+
 def sweep_config(values: dict) -> SweepConfig:
     """SweepConfig from a config mapping, desk defaults for missing keys."""
-    return replace(
-        desk_sweep_config(),
-        **{f.name: values[f.name] for f in fields(SweepConfig) if f.name in values},
-    )
+    return _filled(desk_sweep_config(), values)
+
+
+def dataset_config(values: dict) -> DatasetConfig:
+    """DatasetConfig from a config mapping, defaults for missing keys."""
+    return _filled(DatasetConfig(), values)
 
 
 def train_config(values: dict, model: str | None = None) -> TrainConfig:
     """TrainConfig from a config mapping, optionally forcing the model name."""
-    kwargs = {f.name: values[f.name] for f in fields(TrainConfig) if f.name in values}
-    if model is not None:
-        kwargs["model"] = model
-    return TrainConfig(**kwargs)
-
-
-def dataset_options(values: dict) -> dict:
-    """Keyword arguments for build_dataset() drawn from a config mapping."""
-    out = {"threshold": values.get("threshold"), "seed": values.get("split_seed", 0)}
-    if "test_fraction" in values:
-        out["test_fraction"] = values["test_fraction"]
-    return out
-
-
-def model_input_dim(model: str) -> int:
-    """Feature dimension each model consumes (PCA component count)."""
-    if model.startswith("qcnn"):
-        return int(model[4:].split("-")[0])
-    return 4
+    config = _filled(TrainConfig(), values)
+    return config if model is None else replace(config, model=model)

@@ -20,6 +20,7 @@ from .lattice import (
     LatticeModel,
     WavepacketSpec,
     build_hamiltonian,
+    check_sites,
     free_modes,
     ground_state,
     prepare_scattering_state,
@@ -64,8 +65,9 @@ class SweepConfig:
     time_step: float = 0.5
     sep_fraction: float = 0.5
     momentum_width: float = 0.4
-    fermion_position: float | None = None
-    antifermion_position: float | None = None
+    # a None field is spelled by its "none" word in config files
+    fermion_position: float | None = field(default=None, metadata={"none": "auto"})
+    antifermion_position: float | None = field(default=None, metadata={"none": "auto"})
 
     def __post_init__(self):
         for f in fields(self):
@@ -77,6 +79,9 @@ class SweepConfig:
                     raise DatasetError(f"{f.name} must be finite, got {tuple(value)}")
             elif value is not None and not np.isfinite(value):
                 raise DatasetError(f"{f.name} must be finite, got {value}")
+        check_sites(self.sites)
+        if min(self.masses) <= 0:
+            raise DatasetError(f"masses must be positive, got {tuple(self.masses)}")
         if self.time_step <= 0:
             raise DatasetError(f"time_step must be positive, got {self.time_step}")
         if self.time_horizon < self.time_step:
@@ -374,37 +379,41 @@ class ProcessedDataset:
         return self.features[self.test_idx], self.labels[self.test_idx]
 
 
-def check_dataset_options(
-    n_components: int,
-    threshold: float | None = None,
-    test_fraction: float = 0.2,
-    seed: int = 0,
-) -> None:
-    """Reject dataset options build_dataset() cannot use, naming the config key."""
-    if n_components < 1:
-        raise DatasetError(f"n_components must be a positive integer, got {n_components}")
-    if threshold is not None and not np.isfinite(threshold):
-        raise DatasetError(f"threshold must be finite or 'median', got {threshold}")
-    if not 0 < test_fraction < 1:
-        raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if seed < 0:
-        raise DatasetError(f"split_seed must be a non-negative integer, got {seed}")
+@dataclass(frozen=True)
+class DatasetConfig:
+    """Labelling, split and PCA options of build_dataset()."""
+
+    # None labels at the median excess central entropy
+    threshold: float | None = field(default=None, metadata={"none": "median"})
+    test_fraction: float = 0.2  # held-out fraction per class
+    split_seed: int = 0  # balancing/split RNG seed
+    n_components: int = 4  # PCA dimension
+
+    def __post_init__(self):
+        if self.n_components < 1:
+            raise DatasetError(
+                f"n_components must be a positive integer, got {self.n_components}"
+            )
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise DatasetError(f"threshold must be finite or 'median', got {self.threshold}")
+        if not 0 < self.test_fraction < 1:
+            raise DatasetError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.split_seed < 0:
+            raise DatasetError(
+                f"split_seed must be a non-negative integer, got {self.split_seed}"
+            )
 
 
 def build_dataset(
-    events: list[ScatteringEvent],
-    n_components: int,
-    threshold: float | None = None,
-    test_fraction: float = 0.2,
-    seed: int = 0,
+    events: list[ScatteringEvent], config: DatasetConfig = DatasetConfig()
 ) -> ProcessedDataset:
     """Label, balance, split and project a sweep into a training dataset.
 
     Events without a detected separation time (or with recorded errors) are
-    excluded.  When threshold is None the median of the excess central
+    excluded.  When config.threshold is None the median of the excess central
     entropies is used, which keeps both classes populated at small lattices.
     """
-    check_dataset_options(n_components, threshold, test_fraction, seed)
+    threshold, seed = config.threshold, config.split_seed
     usable = [
         (i, ev)
         for i, ev in enumerate(events)
@@ -417,7 +426,7 @@ def build_dataset(
         threshold = float(np.median(entropies))
     labels = np.array([assign_label(s, threshold) for s in entropies])
 
-    train_local, test_local = balance_and_split(labels, test_fraction, seed)
+    train_local, test_local = balance_and_split(labels, config.test_fraction, seed)
     keep = np.concatenate([train_local, test_local])
     keep.sort()
     remap = {old: new for new, old in enumerate(keep)}
@@ -427,7 +436,7 @@ def build_dataset(
     train_idx = np.array(sorted(remap[i] for i in train_local))
     test_idx = np.array(sorted(remap[i] for i in test_local))
 
-    pca = fit_pca(raw[train_idx], n_components)
+    pca = fit_pca(raw[train_idx], config.n_components)
     scores = apply_pca(pca, raw)
     bounds = angle_bounds(scores[train_idx])
     angles = scale_to_angles(scores, bounds)

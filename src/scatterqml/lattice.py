@@ -31,6 +31,15 @@ class LatticeError(ValueError):
 MAX_SITES = 14  # largest lattice any test or benchmark covers
 
 
+def check_sites(sites: int) -> None:
+    """Reject a site count the lattice cannot hold: it must be even, >= 4 and
+    <= MAX_SITES."""
+    if sites % 2 != 0 or sites < 4:
+        raise LatticeError(f"sites must be even and >= 4, got {sites}")
+    if sites > MAX_SITES:
+        raise LatticeError(f"sites must be <= {MAX_SITES}, got {sites}")
+
+
 @dataclass(frozen=True)
 class LatticeModel:
     """Lattice size and couplings, in units of the lattice spacing."""
@@ -40,10 +49,7 @@ class LatticeModel:
     coupling: float
 
     def __post_init__(self):
-        if self.sites % 2 != 0 or self.sites < 4:
-            raise LatticeError(f"sites must be even and >= 4, got {self.sites}")
-        if self.sites > MAX_SITES:
-            raise LatticeError(f"sites must be <= {MAX_SITES}, got {self.sites}")
+        check_sites(self.sites)
         if not (np.isfinite(self.mass) and np.isfinite(self.coupling)):
             raise LatticeError(
                 f"mass and coupling must be finite, got {self.mass} and {self.coupling}"

@@ -27,7 +27,7 @@ from .circuits import (
     CircuitError,
     Gate,
     embed_pair,
-    encode,
+    encode,  # unused here; perfbench/spans.py patches the name qcnn.encode
     fuse_pair,
     pair_environment,
     z_expectation,
@@ -157,11 +157,6 @@ def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
         raise CircuitError("state dimension does not match the model width")
     layers, readout = _layers(model)
     return _probability(_run(layers, states), readout)
-
-
-def qcnn_predict(model: QcnnModel, angles: np.ndarray) -> np.ndarray:
-    """Encode angle vectors and evaluate the model."""
-    return qcnn_forward(model, encode(angles, model.n_qubits, model.encoding))
 
 
 def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -79,8 +79,23 @@ def _load_record(path, kind):
     return record
 
 
-# How a SweepConfig field is rebuilt from its JSON value, by its annotation.
-_FIELD_DECODERS = {"tuple": tuple, "int": int, "float": float, "float | None": lambda v: v}
+# How a field is rebuilt from its JSON value, by its annotation string; a
+# field whose annotation is not listed (dicts, optional scalars) is taken as is.
+_FIELD_DECODERS = {
+    "tuple": tuple,
+    "int": int,
+    "float": float,
+    "np.ndarray": np.array,
+    "PcaModel": lambda v: _from_record(PcaModel, v),
+}
+
+
+def _from_record(cls, record):
+    """Dataclass `cls` rebuilt from its `dataclasses.asdict` JSON record."""
+    return cls(**{
+        f.name: _FIELD_DECODERS.get(f.type, lambda v: v)(record[f.name])
+        for f in dataclasses.fields(cls)
+    })
 
 
 def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> None:
@@ -107,64 +122,30 @@ def load_events(path):
     header = _parse(lines[0], where)
     _check_schema(header, "events", where)
     with _fields(where):
-        data = header["config"]
-        config = SweepConfig(**{
-            f.name: _FIELD_DECODERS[f.type](data[f.name])
-            for f in dataclasses.fields(SweepConfig)
-        })
+        config = _from_record(SweepConfig, header["config"])
         count = header["count"]
     events = []
     for lineno, line in enumerate(lines[1:], 2):
         where = f"{path} line {lineno}"
         d = _parse(line, where)
         with _fields(where):
-            events.append(ScatteringEvent(**{
-                f.name: np.array(d[f.name]) if f.type == "np.ndarray" else d[f.name]
-                for f in dataclasses.fields(ScatteringEvent)
-            }))
+            events.append(_from_record(ScatteringEvent, d))
     if len(events) != count:
         raise SerializeError(f"{path} declares {count} events but holds {len(events)}")
     return config, events
 
 
 def save_dataset(path, dataset: ProcessedDataset) -> None:
-    record = {
-        "schema": SCHEMA_VERSION,
-        "kind": "dataset",
-        "features": dataset.features,
-        "labels": dataset.labels,
-        "train_idx": dataset.train_idx,
-        "test_idx": dataset.test_idx,
-        "pca_mean": dataset.pca.mean,
-        "pca_components": dataset.pca.components,
-        "pca_explained_variance": dataset.pca.explained_variance,
-        "bounds": dataset.bounds,
-        "threshold": dataset.threshold,
-        "seed": dataset.seed,
-        "event_rows": dataset.event_rows,
-    }
+    """One JSON record: the dataset's fields, the PCA model nested under "pca"."""
+    record = {"schema": SCHEMA_VERSION, "kind": "dataset", **dataclasses.asdict(dataset)}
     with open(path, "w") as fh:
         fh.write(_dumps(record) + "\n")
 
 
 def load_dataset(path) -> ProcessedDataset:
-    d = _load_record(path, "dataset")
+    record = _load_record(path, "dataset")
     with _fields(str(path)):
-        return ProcessedDataset(
-            features=np.array(d["features"]),
-            labels=np.array(d["labels"], dtype=int),
-            train_idx=np.array(d["train_idx"], dtype=int),
-            test_idx=np.array(d["test_idx"], dtype=int),
-            pca=PcaModel(
-                mean=np.array(d["pca_mean"]),
-                components=np.array(d["pca_components"]),
-                explained_variance=np.array(d["pca_explained_variance"]),
-            ),
-            bounds=np.array(d["bounds"]),
-            threshold=float(d["threshold"]),
-            seed=int(d["seed"]),
-            event_rows=np.array(d["event_rows"], dtype=int),
-        )
+        return _from_record(ProcessedDataset, record)
 
 
 def save_model(path, model_name: str, params: np.ndarray, metadata: dict | None = None):
@@ -219,13 +200,20 @@ def read_report_csv(path):
             )
         rows = []
         for row in reader:
-            rows.append(
-                {
-                    "epoch": int(row["epoch"]),
-                    "model": row["model"],
-                    "threshold": float(row["threshold"]),
-                    "mean_acc": float(row["mean_acc"]),
-                    "sem": None if row["sem"] == "" else float(row["sem"]),
-                }
-            )
+            where = f"{path} line {reader.line_num}"
+            # DictReader fills a short row with None and keys extra cells by None
+            if None in row or None in row.values():
+                raise SerializeError(f"{where}: expected {len(REPORT_COLUMNS)} cells")
+            try:
+                rows.append(
+                    {
+                        "epoch": int(row["epoch"]),
+                        "model": row["model"],
+                        "threshold": float(row["threshold"]),
+                        "mean_acc": float(row["mean_acc"]),
+                        "sem": None if row["sem"] == "" else float(row["sem"]),
+                    }
+                )
+            except ValueError as exc:
+                raise SerializeError(f"{where}: {exc}") from None
     return rows

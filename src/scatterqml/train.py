@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -11,10 +12,6 @@ from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from .dataset import ProcessedDataset, ordered_map
 from .qcnn import QcnnModel, adjoint_gradient, qcnn_forward
 
-MODEL_NAMES = (
-    "qcnn4-hee", "qcnn4-tpe", "qcnn8-hee", "qcnn8-tpe",
-    "qcnn16-hee", "qcnn16-tpe", "cnn51", "cnn113",
-)
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -112,9 +109,9 @@ class QcnnClassifier:
 class CnnClassifier:
     """Classical baseline over the same angle features, rescaled to [0, 1]."""
 
-    def __init__(self, size: int, seed: int):
-        template = cnn51() if size == 51 else cnn113()
-        self.model = CnnModel.random(template, seed=seed)
+    def __init__(self, template, seed: int):
+        """template: the architecture factory, cnn51 or cnn113."""
+        self.model = CnnModel.random(template(), seed=seed)
 
     @property
     def params(self):
@@ -134,11 +131,26 @@ class CnnClassifier:
         return cnn_backward(self.model, X, labels)
 
 
+# Model name -> (input width = PCA component count, classifier factory of the run seed)
+_MODELS = {
+    **{
+        f"qcnn{width}-{encoding}": (width, partial(QcnnClassifier, width, encoding))
+        for width in (4, 8, 16)
+        for encoding in ("hee", "tpe")
+    },
+    "cnn51": (cnn51().input_dim, partial(CnnClassifier, cnn51)),
+    "cnn113": (cnn113().input_dim, partial(CnnClassifier, cnn113)),
+}
+MODEL_NAMES = tuple(_MODELS)
+
+
+def input_width(name: str) -> int:
+    """Feature dimension the named model consumes."""
+    return _MODELS[name][0]
+
+
 def make_classifier(name: str, seed: int):
-    if name.startswith("qcnn"):
-        width, encoding = name[4:].split("-")
-        return QcnnClassifier(int(width), encoding, seed)
-    return CnnClassifier(int(name[3:]), seed)
+    return _MODELS[name][1](seed)
 
 
 @dataclass

@@ -273,7 +273,7 @@ def test_criterion_6_structural_contracts():
 @pytest.fixture(scope="module")
 def desk_dataset():
     events = run_sweep(desk_sweep_config())
-    return build_dataset(events, n_components=4, seed=0)
+    return build_dataset(events)
 
 
 def test_criterion_7_desk_scale_orderings(desk_dataset):
@@ -307,7 +307,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
     def run_pipeline(tag):
         events = run_sweep(cfg, workers=2)
-        dataset = build_dataset(events, n_components=4, seed=0)
+        dataset = build_dataset(events)
         reports = [
             run_experiment(
                 dataset,

@@ -8,9 +8,9 @@ from scatterqml.cnn import (
     cnn51,
     cnn_backward,
     cnn_forward,
-    cnn_predict,
     sigmoid,
 )
+from scatterqml.train import make_classifier
 
 from oracles import finite_difference_gradient
 
@@ -67,6 +67,8 @@ def test_backward_matches_finite_differences(factory, rng):
 
 
 def test_predict_rescales_angles(rng):
-    model = CnnModel.random(cnn113(), seed=4)
+    clf = make_classifier("cnn113", 4)
     angles = rng.uniform(0, np.pi, size=(5, 4))
-    assert np.allclose(cnn_predict(model, angles), cnn_forward(model, angles / np.pi))
+    X = clf.prepare(angles)
+    assert np.allclose(X, angles / np.pi)
+    assert np.allclose(clf.predict_prepared(X), cnn_forward(clf.model, angles / np.pi))

@@ -8,14 +8,13 @@ from scatterqml.cli import main
 from scatterqml.config import (
     KNOWN_KEYS,
     ConfigError,
-    dataset_options,
+    dataset_config,
     load_config,
-    model_input_dim,
     parse_assignments,
     sweep_config,
     train_config,
 )
-from scatterqml.dataset import SweepConfig, desk_sweep_config
+from scatterqml.dataset import DatasetConfig, SweepConfig, desk_sweep_config
 from scatterqml.serialize import (
     SerializeError,
     load_events,
@@ -23,7 +22,7 @@ from scatterqml.serialize import (
     read_report_csv,
     save_events,
 )
-from scatterqml.train import MODEL_NAMES, TrainConfig
+from scatterqml.train import MODEL_NAMES, TrainConfig, input_width
 
 from conftest import tiny_sweep_config
 from oracles import format_config
@@ -83,12 +82,11 @@ def test_sweep_config_defaults_and_overrides():
 def test_train_config_and_model_dims():
     tc = train_config({"epochs": 5}, model="cnn113")
     assert tc.model == "cnn113" and tc.epochs == 5 and tc.runs == 50
-    assert model_input_dim("qcnn16-tpe") == 16
-    assert model_input_dim("cnn51") == 4
-    assert dataset_options({"threshold": 0.7, "split_seed": 3}) == {
-        "threshold": 0.7,
-        "seed": 3,
-    }
+    assert input_width("qcnn16-tpe") == 16
+    assert input_width("cnn51") == 4
+    assert dataset_config({"threshold": 0.7, "split_seed": 3}) == DatasetConfig(
+        threshold=0.7, split_seed=3
+    )
 
 
 def test_format_config_round_trips(tmp_path):
@@ -149,6 +147,18 @@ def test_cli_gen_data_override_changes_grid(tiny_cfg_file, tmp_path):
     assert len(events) == 6
 
 
+@pytest.mark.parametrize("last_row", ["2,cnn51,0.5", "2,cnn51,abc,0.75,0.01"])
+def test_cli_report_with_a_bad_row_names_the_file_and_line(tmp_path, capsys, last_row):
+    path = tmp_path / "report.csv"
+    path.write_text(
+        "epoch,model,threshold,mean_acc,sem\n1,cnn51,0.5,0.75,0.01\n" + last_row + "\n"
+    )
+    code = main(["report", "--report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and "line 3" in err
+
+
 def _events_file(tmp_path, tiny_events):
     from conftest import tiny_sweep_config
     from scatterqml.serialize import save_events
@@ -207,6 +217,9 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     ("test_fraction=-0.5", "test_fraction"),
     ("threshold=nan", "threshold"),
     ("split_seed=-1", "split_seed"),
+    ("sites=7", "sites"),
+    ("sites=16", "sites"),
+    ("masses=0.0,0.6", "masses"),
 ])
 def test_cli_bad_time_grid_or_width_fails_before_any_work(
     tiny_cfg_file, tmp_path, capsys, setting, key
@@ -231,12 +244,13 @@ def _other_value(field, default):
 
 
 SWEEP_FIELDS = dataclasses.fields(SweepConfig)
+DATASET_FIELDS = dataclasses.fields(DatasetConfig)
 TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
 
 def test_known_keys_are_the_config_fields_plus_the_dataset_keys():
-    names = {f.name for f in SWEEP_FIELDS + TRAIN_FIELDS}
-    assert KNOWN_KEYS == names | {"threshold", "test_fraction", "split_seed", "n_components"}
+    names = {f.name for f in SWEEP_FIELDS + DATASET_FIELDS + TRAIN_FIELDS}
+    assert KNOWN_KEYS == names and len(KNOWN_KEYS) == 21
 
 
 @pytest.mark.parametrize("field", SWEEP_FIELDS, ids=lambda f: f.name)
@@ -246,6 +260,14 @@ def test_every_sweep_field_is_settable(field):
     assert value != default
     values = parse_assignments([format_config({field.name: value}).strip()])
     assert getattr(sweep_config(values), field.name) == value
+
+
+@pytest.mark.parametrize("field", DATASET_FIELDS, ids=lambda f: f.name)
+def test_every_dataset_field_is_settable(field):
+    value = _other_value(field, field.default)
+    assert value != field.default
+    values = parse_assignments([format_config({field.name: value}).strip()])
+    assert getattr(dataset_config(values), field.name) == value
 
 
 @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)

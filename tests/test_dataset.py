@@ -6,6 +6,7 @@ import pytest
 from scatterqml import dataset
 from scatterqml.dataset import (
     WORKERS_ENV,
+    DatasetConfig,
     DatasetError,
     ScatteringEvent,
     SweepConfig,
@@ -203,7 +204,7 @@ def test_balance_and_split_properties():
 
 
 def test_build_dataset_median_threshold(tiny_events):
-    ds = build_dataset(tiny_events, n_components=4, seed=0)
+    ds = build_dataset(tiny_events)
     entropies = [e.delta_s_mid for e in tiny_events]
     assert ds.threshold == float(np.median(entropies))
     assert set(np.unique(ds.labels)) <= {0, 1}
@@ -216,7 +217,9 @@ def test_build_dataset_median_threshold(tiny_events):
 
 def test_build_dataset_explicit_threshold(tiny_events):
     cut = float(np.percentile([e.delta_s_mid for e in tiny_events], 40))
-    ds = build_dataset(tiny_events, n_components=2, threshold=cut, seed=1)
+    ds = build_dataset(
+        tiny_events, DatasetConfig(threshold=cut, split_seed=1, n_components=2)
+    )
     assert ds.threshold == cut
     # with a low threshold most events are class 1; balancing downsamples
     assert ds.labels.sum() * 2 == ds.labels.size
@@ -229,7 +232,7 @@ def test_build_dataset_excludes_failed_events(tiny_events):
         density_image=np.zeros((1, 8)), entropy_traces=np.zeros((1, 7)),
         error="boom",
     )
-    ds = build_dataset(broken + [bad], n_components=4, seed=0)
+    ds = build_dataset(broken + [bad])
     assert len(broken) >= ds.labels.size  # the failed event contributed nothing
 
 
@@ -237,12 +240,13 @@ def test_build_dataset_excludes_failed_events(tiny_events):
     ({"n_components": 0}, "n_components"),
     ({"n_components": 2, "threshold": float("inf")}, "threshold"),
     ({"n_components": 2, "test_fraction": 1.0}, "test_fraction"),
-    ({"n_components": 2, "seed": -1}, "split_seed"),
+    ({"n_components": 2, "split_seed": -1}, "split_seed"),
 ])
 def test_build_dataset_checks_its_options_first(options, key):
-    # no events at all: the option check must fire before the event count check
+    # no events at all: the options are checked when they are made, before
+    # build_dataset counts events
     with pytest.raises(DatasetError, match=f"^{key} must be"):
-        build_dataset([], **options)
+        build_dataset([], DatasetConfig(**options))
 
 
 def test_worker_count_env(monkeypatch):

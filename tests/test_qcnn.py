@@ -11,7 +11,6 @@ from scatterqml.qcnn import (
     conv_block_gates,
     pool_block_gates,
     qcnn_forward,
-    qcnn_predict,
 )
 
 from oracles import (
@@ -97,7 +96,7 @@ def test_zero_parameters_give_deterministic_readout():
 def test_forward_probabilities_in_range(rng):
     model = QcnnModel.random(4, seed=3)
     angles = rng.uniform(0, np.pi, size=(6, 4))
-    p = qcnn_predict(model, angles)
+    p = qcnn_forward(model, encode(angles, 4, model.encoding))
     assert p.shape == (6,)
     assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
 
@@ -109,9 +108,9 @@ def test_shared_weight_equivariance(rng):
     model = QcnnModel.random(4, seed=5)
     a = rng.uniform(0, np.pi, size=2)
     angles = np.concatenate([a, a])  # pair (q0,q1) equals pair (q2,q3)
-    p1 = qcnn_predict(model, angles[None, :])
+    p1 = qcnn_forward(model, encode(angles[None, :], 4, model.encoding))
     swapped = np.concatenate([a, a])
-    p2 = qcnn_predict(model, swapped[None, :])
+    p2 = qcnn_forward(model, encode(swapped[None, :], 4, model.encoding))
     assert abs(p1[0] - p2[0]) < 1e-12
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -41,16 +44,35 @@ def test_events_write_is_byte_identical(tiny_events, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _assert_same_fields(a, b):
+    """Every dataclass field equal, arrays in dtype too, nested dataclasses alike."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
 def test_dataset_round_trip(tiny_events, tmp_path):
-    ds = build_dataset(tiny_events, n_components=4, seed=0)
+    ds = build_dataset(tiny_events)
     path = tmp_path / "dataset.json"
     save_dataset(path, ds)
-    ds2 = load_dataset(path)
-    assert np.array_equal(ds.features, ds2.features)
-    assert np.array_equal(ds.labels, ds2.labels)
-    assert np.array_equal(ds.train_idx, ds2.train_idx)
-    assert np.array_equal(ds.pca.components, ds2.pca.components)
-    assert ds.threshold == ds2.threshold
+    _assert_same_fields(ds, load_dataset(path))
+
+
+def test_dataset_with_flat_pca_keys_is_rejected(tiny_events, tmp_path):
+    path = tmp_path / "dataset.json"
+    save_dataset(path, build_dataset(tiny_events))
+    record = json.loads(path.read_text())
+    for key, value in record.pop("pca").items():
+        record[f"pca_{key}"] = value  # the layout before the PCA model was nested
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(SerializeError, match=f"{path}: missing key 'pca'"):
+        load_dataset(path)
 
 
 def test_model_round_trip(tmp_path):
