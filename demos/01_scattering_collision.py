@@ -18,6 +18,7 @@ from scatterqml import (
     build_hamiltonian,
     entanglement_entropy,
     excess_density,
+    free_modes,
     ground_state,
     prepare_scattering_state,
     trajectory,
@@ -47,7 +48,7 @@ def main():
 
     fer = WavepacketSpec("fermion", 3.0, 0.9)
     anti = WavepacketSpec("antifermion", 9.0, -0.9)
-    psi0 = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
+    psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
     vac_mid = [entanglement_entropy(sector, vacuum, c) for c in (N // 2 - 1, N // 2)]
     density_rows, entropy_rows = [], []

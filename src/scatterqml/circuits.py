@@ -69,10 +69,10 @@ class Gate:
     param: int | None = None
     offset: float = 0.0
 
-    def matrix(self, params, shift: float = 0.0):
+    def matrix(self, params):
         if self.kind == "cnot":
             return CNOT
-        angle = self.offset + shift
+        angle = self.offset
         if self.param is not None:
             angle += params[self.param]
         return _ROTATIONS[self.kind](angle)

@@ -8,9 +8,16 @@ plain numpy with analytic reverse-mode gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# Shape shared by both architectures: 4 input features (the PCA width of the
+# matched 4-qubit models), one convolution of 2 channels with kernel 3.
+INPUT_DIM = 4
+CONV_CHANNELS = 2
+CONV_KERNEL = 3
+CONV_OUT_LEN = INPUT_DIM - CONV_KERNEL + 1
 
 
 class CnnError(ValueError):
@@ -25,20 +32,15 @@ def sigmoid(x):
 class CnnModel:
     """1-D conv + dense binary classifier over a flat parameter vector.
 
-    conv_channels/conv_kernel describe the single convolution layer; the
-    hidden tuple lists dense layer widths before the sigmoid output unit.
+    The single convolution layer has CONV_CHANNELS channels of kernel
+    CONV_KERNEL over INPUT_DIM features; the hidden tuple lists dense layer
+    widths before the sigmoid output unit.
     """
 
-    input_dim: int
-    conv_channels: int
-    conv_kernel: int
     hidden: tuple
-    declared_count: int
     params: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.conv_kernel > self.input_dim:
-            raise CnnError("kernel longer than the input")
         if self.params is None:
             self.params = np.zeros(self.n_parameters)
         self.params = np.asarray(self.params, dtype=float)
@@ -46,21 +48,12 @@ class CnnModel:
             raise CnnError(
                 f"expected {self.n_parameters} parameters, got {self.params.shape}"
             )
-        if self.n_parameters != self.declared_count:
-            raise CnnError(
-                f"architecture has {self.n_parameters} parameters, "
-                f"declared {self.declared_count}"
-            )
-
-    @property
-    def conv_out_len(self) -> int:
-        return self.input_dim - self.conv_kernel + 1
 
     @property
     def layer_dims(self):
         """Dense layer (out, in) shapes, ending in the single output unit."""
         dims = []
-        fan_in = self.conv_channels * self.conv_out_len
+        fan_in = CONV_CHANNELS * CONV_OUT_LEN
         for width in self.hidden:
             dims.append((width, fan_in))
             fan_in = width
@@ -69,17 +62,17 @@ class CnnModel:
 
     @property
     def n_parameters(self) -> int:
-        count = self.conv_channels * (self.conv_kernel + 1)
+        count = CONV_CHANNELS * (CONV_KERNEL + 1)
         for out, fan_in in self.layer_dims:
             count += out * (fan_in + 1)
         return count
 
     def _unpack(self):
         p = self.params
-        k = self.conv_channels * self.conv_kernel
-        w_conv = p[:k].reshape(self.conv_channels, self.conv_kernel)
-        b_conv = p[k : k + self.conv_channels]
-        offset = k + self.conv_channels
+        k = CONV_CHANNELS * CONV_KERNEL
+        w_conv = p[:k].reshape(CONV_CHANNELS, CONV_KERNEL)
+        b_conv = p[k : k + CONV_CHANNELS]
+        offset = k + CONV_CHANNELS
         dense = []
         for out, fan_in in self.layer_dims:
             W = p[offset : offset + out * fan_in].reshape(out, fan_in)
@@ -89,46 +82,31 @@ class CnnModel:
             dense.append((W, b))
         return w_conv, b_conv, dense
 
-    @classmethod
-    def random(cls, template: "CnnModel", seed: int = 0) -> "CnnModel":
+    @staticmethod
+    def random(template: "CnnModel", seed: int = 0) -> "CnnModel":
         rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(template.input_dim)
-        params = rng.normal(0.0, scale, size=template.n_parameters)
-        return cls(
-            input_dim=template.input_dim,
-            conv_channels=template.conv_channels,
-            conv_kernel=template.conv_kernel,
-            hidden=template.hidden,
-            declared_count=template.declared_count,
-            params=params,
-        )
+        params = rng.normal(0.0, 1.0 / np.sqrt(INPUT_DIM), size=template.n_parameters)
+        return replace(template, params=params)
 
 
-def cnn51(params=None) -> CnnModel:
+def cnn51() -> CnnModel:
     """Small baseline: conv(2ch, k=3) -> dense 7 -> 1; 51 parameters."""
-    return CnnModel(
-        input_dim=4, conv_channels=2, conv_kernel=3, hidden=(7,), declared_count=51,
-        params=params,
-    )
+    return CnnModel(hidden=(7,))
 
 
-def cnn113(params=None) -> CnnModel:
+def cnn113() -> CnnModel:
     """Large baseline: conv(2ch, k=3) -> dense 4 -> 14 -> 1; 113 parameters."""
-    return CnnModel(
-        input_dim=4, conv_channels=2, conv_kernel=3, hidden=(4, 14),
-        declared_count=113, params=params,
-    )
+    return CnnModel(hidden=(4, 14))
 
 
 def _forward_pass(model: CnnModel, X: np.ndarray):
     """Forward pass with cached intermediates for backprop."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.input_dim:
-        raise CnnError(f"expected {model.input_dim} features, got {X.shape[1]}")
+    if X.shape[1] != INPUT_DIM:
+        raise CnnError(f"expected {INPUT_DIM} features, got {X.shape[1]}")
     w_conv, b_conv, dense = model._unpack()
-    L = model.conv_out_len
     # windows[b, i, j] = X[b, i + j]
-    windows = np.stack([X[:, i : i + model.conv_kernel] for i in range(L)], axis=1)
+    windows = np.stack([X[:, i : i + CONV_KERNEL] for i in range(CONV_OUT_LEN)], axis=1)
     z_conv = np.einsum("bij,cj->bci", windows, w_conv) + b_conv[None, :, None]
     a_conv = np.maximum(z_conv, 0.0)
     acts = [a_conv.reshape(X.shape[0], -1)]
@@ -172,7 +150,7 @@ def cnn_backward(model: CnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
             delta = delta @ W
     grads_dense.reverse()
 
-    d_aconv = delta.reshape(B, model.conv_channels, model.conv_out_len)
+    d_aconv = delta.reshape(B, CONV_CHANNELS, CONV_OUT_LEN)
     d_zconv = d_aconv * (z_conv > 0)
     g_wconv = np.einsum("bci,bij->cj", d_zconv, windows)
     g_bconv = d_zconv.sum(axis=(0, 2))

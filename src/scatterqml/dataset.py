@@ -124,7 +124,7 @@ class SweepConfig:
         ]
 
 
-def desk_sweep_config(sites: int = 12) -> SweepConfig:
+def desk_sweep_config() -> SweepConfig:
     """Default desk-scale sweep: 210 events on a two-band mass grid.
 
     The mass bands sit on either side of the entropy-production crossover at
@@ -138,7 +138,6 @@ def desk_sweep_config(sites: int = 12) -> SweepConfig:
         couplings=tuple(np.round(np.linspace(0.50, 0.85, 15), 4)),
         fermion_momenta=(0.9,),
         antifermion_momenta=(-0.9,),
-        sites=sites,
     )
 
 
@@ -218,9 +217,7 @@ def _run_group(args):
         try:
             fer = WavepacketSpec("fermion", pos_c, kc, config.momentum_width)
             anti = WavepacketSpec("antifermion", pos_d, kd, config.momentum_width)
-            psi0 = prepare_scattering_state(
-                model, fer, anti, ham=ham, vacuum=vacuum, modes=modes
-            )
+            psi0 = prepare_scattering_state(ham, vacuum, modes, fer, anti)
             density_rows, entropy_rows = [], []
             for _, psi in trajectory(ham, psi0, times):
                 density_rows.append(site_densities(basis, psi) - vac_density)
@@ -429,12 +426,12 @@ def build_dataset(
     train_local, test_local = balance_and_split(labels, config.test_fraction, seed)
     keep = np.concatenate([train_local, test_local])
     keep.sort()
-    remap = {old: new for new, old in enumerate(keep)}
 
     raw = np.array([usable[i][1].density_image.ravel() for i in keep])
     kept_labels = labels[keep]
-    train_idx = np.array(sorted(remap[i] for i in train_local))
-    test_idx = np.array(sorted(remap[i] for i in test_local))
+    # each split's rows: the positions of its (sorted) indices in keep
+    train_idx = np.searchsorted(keep, train_local)
+    test_idx = np.searchsorted(keep, test_local)
 
     pca = fit_pca(raw[train_idx], config.n_components)
     scores = apply_pca(pca, raw)

@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dstev
 
+STEP_TOL = 1e-10  # local error and norm drift allowed per Krylov step
+MAX_KRYLOV_DIM = 80
+
 
 class EvolutionError(RuntimeError):
     """Propagator failed to reach the requested tolerance."""
@@ -30,7 +33,9 @@ def _propagate_first_column(alphas, betas, dt):
     return vectors @ (np.exp(-1j * dt * energies) * vectors[0])
 
 
-def krylov_expm(matvec, psi: np.ndarray, dt: float, tol: float = 1e-10, max_dim: int = 80):
+def krylov_expm(
+    matvec, psi: np.ndarray, dt: float, tol: float = STEP_TOL, max_dim: int = MAX_KRYLOV_DIM
+):
     """Evolve psi by exp(-i H dt) using an adaptively sized Lanczos basis.
 
     matvec applies the Hermitian H to a vector.  The local error is estimated
@@ -75,18 +80,16 @@ def krylov_expm(matvec, psi: np.ndarray, dt: float, tol: float = 1e-10, max_dim:
     return out * (norm0 / norm_out)
 
 
-def evolve(ham, state: np.ndarray, dt: float, tol: float = 1e-10, max_dim: int = 80) -> np.ndarray:
-    """Return exp(-i H dt)|state>, norm preserved to the propagator tolerance."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return krylov_expm(ham.apply, state, dt, tol=tol, max_dim=max_dim)
+def evolve(ham, state: np.ndarray, dt: float) -> np.ndarray:
+    """Return exp(-i H dt)|state>, norm preserved to STEP_TOL."""
+    return krylov_expm(ham.apply, state, dt)
 
 
-def trajectory(ham, state: np.ndarray, times: np.ndarray, tol: float = 1e-10):
+def trajectory(ham, state: np.ndarray, times: np.ndarray):
     """Yield (t, psi(t)) at the requested, ascending times starting from t=0."""
     psi = state.copy()
     t_prev = 0.0
     for t in times:
-        psi = evolve(ham, psi, t - t_prev, tol=tol)
+        psi = evolve(ham, psi, t - t_prev)
         t_prev = t
         yield t, psi

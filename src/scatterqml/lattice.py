@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,8 @@ class LatticeError(ValueError):
 
 
 MAX_SITES = 14  # largest lattice any test or benchmark covers
+GROUND_STATE_RESIDUAL = 1e-9  # largest accepted |H v - E v| of the ground state
+GROUND_STATE_MAXITER = 20000  # Lanczos iterations allowed to eigsh
 
 
 def check_sites(sites: int) -> None:
@@ -147,7 +149,6 @@ def number_sector(sites: int, particles: int) -> Sector:
 class SparseHamiltonian:
     """Sparse Hermitian Hamiltonian on the half-filling sector."""
 
-    model: LatticeModel
     sector: Sector
     matrix: sp.csr_matrix
 
@@ -198,7 +199,7 @@ def build_hamiltonian(model: LatticeModel) -> SparseHamiltonian:
         (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dimension, basis.dimension),
     ).tocsr()
-    return SparseHamiltonian(model=model, sector=basis, matrix=H)
+    return SparseHamiltonian(sector=basis, matrix=H)
 
 
 def single_particle_matrix(model: LatticeModel) -> np.ndarray:
@@ -218,14 +219,11 @@ class SingleParticleModes:
     """Eigenmodes of the quadratic single-particle matrix.
 
     Positive-energy modes define fermion orbitals, negative-energy ones the
-    filled Dirac sea (antifermion orbitals).  Momentum labels are the dominant
-    discrete-Fourier components of each eigenvector.
+    filled Dirac sea (antifermion orbitals).
     """
 
-    hopping_matrix: np.ndarray
     energies: np.ndarray  # ascending
     vectors: np.ndarray  # orthonormal columns, matching energies
-    momenta: np.ndarray  # dominant DFT momentum per mode
 
     @property
     def negative(self):
@@ -237,20 +235,13 @@ class SingleParticleModes:
 
 
 def free_modes(model: LatticeModel) -> SingleParticleModes:
-    """Diagonalize the quadratic part and label modes by dominant momentum."""
+    """Diagonalize the quadratic part of the Hamiltonian."""
     if model.mass <= 0:
         raise LatticeError("free_modes requires a positive mass")
-    h = single_particle_matrix(model)
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = np.linalg.eigh(single_particle_matrix(model))
     if np.min(np.abs(energies)) < 1e-10:
         raise LatticeError("zero single-particle energy: ambiguous particle/hole split")
-
-    N = model.sites
-    kgrid = 2 * np.pi * np.arange(-N // 2, N // 2) / N
-    fourier = np.exp(-1j * np.outer(kgrid, np.arange(N))) / np.sqrt(N)
-    weights = np.abs(fourier @ vectors) ** 2
-    momenta = kgrid[np.argmax(weights, axis=0)]
-    return SingleParticleModes(h, energies, vectors, momenta)
+    return SingleParticleModes(energies, vectors)
 
 
 def momentum_coefficients(spec: WavepacketSpec, kgrid: np.ndarray) -> np.ndarray:
@@ -286,13 +277,7 @@ def gaussian_wavepacket(spec: WavepacketSpec, modes: SingleParticleModes) -> np.
             orbital_center += 2 * np.pi
         projector_basis = modes.negative
 
-    orbital_spec = WavepacketSpec(
-        species=spec.species,
-        position_center=spec.position_center,
-        momentum_center=orbital_center,
-        momentum_width=spec.momentum_width,
-    )
-    phi_k = momentum_coefficients(orbital_spec, kgrid)
+    phi_k = momentum_coefficients(replace(spec, momentum_center=orbital_center), kgrid)
     raw = np.exp(1j * np.outer(np.arange(N), kgrid)) @ phi_k
     projected = projector_basis @ (projector_basis.conj().T @ raw)
     norm = np.linalg.norm(projected)
@@ -302,7 +287,7 @@ def gaussian_wavepacket(spec: WavepacketSpec, modes: SingleParticleModes) -> np.
     return orbital.conj() if spec.species == "antifermion" else orbital
 
 
-def ground_state(ham: SparseHamiltonian, tol: float = 1e-9, maxiter: int = 20000):
+def ground_state(ham: SparseHamiltonian):
     """Ground state of the half-filling sector.
 
     Returns (sector amplitudes, energy).  Raises on non-convergence or
@@ -312,7 +297,7 @@ def ground_state(ham: SparseHamiltonian, tol: float = 1e-9, maxiter: int = 20000
     k = min(2, ham.dimension - 1)
     # deterministic start vector so repeated runs are bit-identical
     v0 = np.ones(ham.dimension) / np.sqrt(ham.dimension)
-    vals, vecs = eigsh(H, k=k, which="SA", tol=0, maxiter=maxiter, v0=v0)
+    vals, vecs = eigsh(H, k=k, which="SA", tol=0, maxiter=GROUND_STATE_MAXITER, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     if k == 2 and vals[1] - vals[0] < 1e-10:
@@ -322,8 +307,10 @@ def ground_state(ham: SparseHamiltonian, tol: float = 1e-9, maxiter: int = 20000
     pivot = np.argmax(np.abs(v))
     v *= np.exp(-1j * np.angle(v[pivot]))  # fix the global phase
     residual = np.linalg.norm(H @ v - energy * v)
-    if residual > tol:
-        raise LatticeError(f"ground-state residual {residual:.2e} above {tol:.0e}")
+    if residual > GROUND_STATE_RESIDUAL:
+        raise LatticeError(
+            f"ground-state residual {residual:.2e} above {GROUND_STATE_RESIDUAL:.0e}"
+        )
     return v / np.linalg.norm(v), float(energy)
 
 
@@ -359,26 +346,20 @@ def apply_wavepacket_operator(
 
 
 def prepare_scattering_state(
-    model: LatticeModel,
+    ham: SparseHamiltonian,
+    vacuum: np.ndarray,
+    modes: SingleParticleModes,
     fermion: WavepacketSpec,
     antifermion: WavepacketSpec,
-    ham: SparseHamiltonian | None = None,
-    vacuum: np.ndarray | None = None,
-    modes: SingleParticleModes | None = None,
 ) -> np.ndarray:
     """Normalized scattering state: antifermion and fermion packets on the vacuum.
 
-    The vacuum and the result are half-filling sector states of `ham`.
+    The vacuum (ground_state of `ham`) and the result are half-filling sector
+    states of `ham`; `modes` are the free_modes of its model.
     """
     sigma_x = 1.0 / (2.0 * min(fermion.momentum_width, antifermion.momentum_width))
     if abs(fermion.position_center - antifermion.position_center) < 4 * sigma_x:
         raise LatticeError("wave packets are not spatially separated")
-    if ham is None:
-        ham = build_hamiltonian(model)
-    if vacuum is None:
-        vacuum, _ = ground_state(ham)
-    if modes is None:
-        modes = free_modes(model)
     phi_c = gaussian_wavepacket(fermion, modes)
     phi_d = gaussian_wavepacket(antifermion, modes)
     basis, psi = apply_wavepacket_operator(ham.sector, vacuum, phi_c, "fermion")

@@ -17,7 +17,7 @@ over its pairs, gives every parameter derivative (see circuits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,9 +115,8 @@ class QcnnModel:
     @classmethod
     def random(cls, n_qubits, encoding="hee", seed=0):
         rng = np.random.default_rng(seed)
-        n = PARAMS_PER_LAYER * int(np.log2(n_qubits))
-        params = rng.uniform(-np.pi, np.pi, size=n)
-        return cls(n_qubits=n_qubits, encoding=encoding, params=params)
+        model = cls(n_qubits=n_qubits, encoding=encoding)
+        return replace(model, params=rng.uniform(-np.pi, np.pi, size=model.n_parameters))
 
 
 def _layers(model: QcnnModel):

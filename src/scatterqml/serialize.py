@@ -51,13 +51,16 @@ def _parse(text: str, where: str):
 
 @contextlib.contextmanager
 def _fields(where: str):
-    """Turn a missing key or a wrongly typed value into a SerializeError."""
+    """Turn a missing key, a wrongly typed value or a value its field rejects
+    into a SerializeError."""
     try:
         yield
     except KeyError as exc:
         raise SerializeError(f"{where}: missing key {exc}") from None
     except TypeError as exc:
         raise SerializeError(f"{where}: malformed record ({exc})") from None
+    except ValueError as exc:
+        raise SerializeError(f"{where}: {exc}") from None
 
 
 def _check_schema(record, kind, where):
@@ -124,6 +127,8 @@ def load_events(path):
     with _fields(where):
         config = _from_record(SweepConfig, header["config"])
         count = header["count"]
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise SerializeError(f"{where}: count must be an integer, got {count!r}")
     events = []
     for lineno, line in enumerate(lines[1:], 2):
         where = f"{path} line {lineno}"
@@ -148,23 +153,17 @@ def load_dataset(path) -> ProcessedDataset:
         return _from_record(ProcessedDataset, record)
 
 
-def save_model(path, model_name: str, params: np.ndarray, metadata: dict | None = None):
+def save_model(path, model_name: str, params: np.ndarray, metadata: dict):
+    """A checkpoint for inspection: one JSON record; no command reads it back."""
     record = {
         "schema": SCHEMA_VERSION,
         "kind": "model",
         "model": model_name,
         "params": np.asarray(params, dtype=float),
-        "metadata": metadata or {},
+        "metadata": metadata,
     }
     with open(path, "w") as fh:
         fh.write(_dumps(record) + "\n")
-
-
-def load_model(path):
-    """Returns (model_name, params, metadata)."""
-    d = _load_record(path, "model")
-    with _fields(str(path)):
-        return d["model"], np.array(d["params"]), d["metadata"]
 
 
 REPORT_COLUMNS = ("epoch", "model", "threshold", "mean_acc", "sem")

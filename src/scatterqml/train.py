@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 
 from .circuits import encode
+from .cnn import INPUT_DIM as CNN_INPUT_DIM
 from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from .dataset import ProcessedDataset, ordered_map
 from .qcnn import QcnnModel, adjoint_gradient, qcnn_forward
@@ -80,11 +81,8 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     return new_params, AdamState(m=m, v=v, step=t)
 
 
-class QcnnClassifier:
-    """Variational circuit classifier over angle features."""
-
-    def __init__(self, n_qubits: int, encoding: str, seed: int):
-        self.model = QcnnModel.random(n_qubits, encoding, seed)
+class _Classifier:
+    """The wrapped model's flat parameter vector, read and set as `params`."""
 
     @property
     def params(self):
@@ -93,6 +91,13 @@ class QcnnClassifier:
     @params.setter
     def params(self, value):
         self.model.params = np.asarray(value, dtype=float)
+
+
+class QcnnClassifier(_Classifier):
+    """Variational circuit classifier over angle features."""
+
+    def __init__(self, n_qubits: int, encoding: str, seed: int):
+        self.model = QcnnModel.random(n_qubits, encoding, seed)
 
     def prepare(self, angles):
         """Encoding carries no trainable weights, so states are computed once."""
@@ -106,20 +111,12 @@ class QcnnClassifier:
         return adjoint_gradient(self.model, states, labels)
 
 
-class CnnClassifier:
+class CnnClassifier(_Classifier):
     """Classical baseline over the same angle features, rescaled to [0, 1]."""
 
     def __init__(self, template, seed: int):
         """template: the architecture factory, cnn51 or cnn113."""
         self.model = CnnModel.random(template(), seed=seed)
-
-    @property
-    def params(self):
-        return self.model.params
-
-    @params.setter
-    def params(self, value):
-        self.model.params = np.asarray(value, dtype=float)
 
     def prepare(self, angles):
         return np.asarray(angles, dtype=float) / np.pi
@@ -138,8 +135,8 @@ _MODELS = {
         for width in (4, 8, 16)
         for encoding in ("hee", "tpe")
     },
-    "cnn51": (cnn51().input_dim, partial(CnnClassifier, cnn51)),
-    "cnn113": (cnn113().input_dim, partial(CnnClassifier, cnn113)),
+    "cnn51": (CNN_INPUT_DIM, partial(CnnClassifier, cnn51)),
+    "cnn113": (CNN_INPUT_DIM, partial(CnnClassifier, cnn113)),
 }
 MODEL_NAMES = tuple(_MODELS)
 
@@ -155,7 +152,6 @@ def make_classifier(name: str, seed: int):
 
 @dataclass
 class RunResult:
-    seed: int
     train_loss: list
     train_accuracy: list
     test_accuracy: list
@@ -195,7 +191,6 @@ def train(dataset: ProcessedDataset, config: TrainConfig, seed: int) -> RunResul
         train_accs.append(accuracy(p_train, y_train))
         test_accs.append(accuracy(clf.predict_prepared(S_test), y_test))
     return RunResult(
-        seed=seed,
         train_loss=losses,
         train_accuracy=train_accs,
         test_accuracy=test_accs,

@@ -8,9 +8,12 @@ trace, and the free-field references use the single-particle correlation
 matrix.  The package works on particle-number sectors; ``embed`` places a
 sector state into the full space (at the basis states the package's
 ``Sector`` lists) so that it can be compared with these references.  The
-circuit references simulate one gate at a time, and ``format_config``
-renders a config mapping back to file text for the round-trip tests.
+circuit references simulate one gate at a time, ``format_config`` renders a
+config mapping back to file text for the round-trip tests, and
+``load_model`` reads back the checkpoints the CLI writes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,6 +27,7 @@ from scatterqml.qcnn import (
     conv_block_gates,
     pool_block_gates,
 )
+from scatterqml.serialize import _fields, _load_record
 
 I2 = np.eye(2)
 PAULI_Z = np.diag([1.0, -1.0])
@@ -198,6 +202,14 @@ def ff_single_particle(n_sites: int, mass: float) -> np.ndarray:
     return h
 
 
+def dominant_momenta(vectors: np.ndarray) -> np.ndarray:
+    """Momentum of the largest discrete-Fourier component of each column."""
+    N = vectors.shape[0]
+    kgrid = 2 * np.pi * np.arange(-N // 2, N // 2) / N
+    fourier = np.exp(-1j * np.outer(kgrid, np.arange(N))) / np.sqrt(N)
+    return kgrid[np.argmax(np.abs(fourier @ vectors) ** 2, axis=0)]
+
+
 def ff_vacuum_projector(h: np.ndarray) -> np.ndarray:
     """Correlation matrix P_mn = <c_m^dag c_n> of the filled Dirac sea."""
     energies, vectors = np.linalg.eigh(h)
@@ -276,8 +288,9 @@ def run_program(gates, state, params, shift_at=None, shift=0.0):
     """Apply a gate program; optionally shift the angle of one gate occurrence."""
     out = state
     for i, gate in enumerate(gates):
-        s = shift if i == shift_at else 0.0
-        out = apply_unitary(out, gate.matrix(params, s), gate.qubits)
+        if i == shift_at:
+            gate = replace(gate, offset=gate.offset + shift)
+        out = apply_unitary(out, gate.matrix(params), gate.qubits)
     return out
 
 
@@ -436,3 +449,13 @@ def format_config(values: dict) -> str:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"
+
+
+# --- checkpoints ---
+
+
+def load_model(path):
+    """(model_name, params, metadata) of a checkpoint written by save_model."""
+    record = _load_record(path, "model")
+    with _fields(str(path)):
+        return record["model"], np.array(record["params"]), record["metadata"]

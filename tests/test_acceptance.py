@@ -8,6 +8,7 @@ structural contracts, 7 reproduces the desk-scale experiment orderings and
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from scatterqml.lattice import (
     LatticeModel,
     WavepacketSpec,
     build_hamiltonian,
+    free_modes,
+    gaussian_wavepacket,
     ground_state,
     number_sector,
     prepare_scattering_state,
@@ -79,7 +82,7 @@ def test_criterion_1_dense_oracle_equivalence():
 
     fer = WavepacketSpec("fermion", 1.0, 0.9, 0.8)
     anti = WavepacketSpec("antifermion", 5.0, -0.9, 0.8)
-    psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
+    psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
     sector = ham.sector
     H_dense = dense_hamiltonian(N, mass, coupling)
     psi_ref = embed(sector, psi)
@@ -106,14 +109,10 @@ def test_criterion_2_free_field_oracle():
     model = LatticeModel(sites=N, mass=mass, coupling=0.0)
     ham = build_hamiltonian(model)
     vacuum, _ = ground_state(ham)
-
-    from scatterqml.lattice import free_modes, gaussian_wavepacket
-
     modes = free_modes(model)
     fer = WavepacketSpec("fermion", 3.0, 0.9)
     anti = WavepacketSpec("antifermion", 9.0, -0.9)
-    psi0 = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum,
-                                    modes=modes)
+    psi0 = prepare_scattering_state(ham, vacuum, modes, fer, anti)
 
     h = ff_single_particle(N, mass)
     P0 = ff_scattering_projector(
@@ -155,7 +154,7 @@ def test_criterion_3_conservation_suite():
         vacuum, _ = ground_state(ham)
         fer = WavepacketSpec("fermion", 2.0, 0.9, 0.7)
         anti = WavepacketSpec("antifermion", 6.0, -0.9, 0.7)
-        psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
+        psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
         energy0 = float(np.real(np.vdot(psi, ham.apply(psi))))
         number0 = total_number(ham, psi)
         for _, psi in trajectory(ham, psi, 0.25 * np.arange(1, 101)):
@@ -244,8 +243,8 @@ def test_criterion_5_gradient_correctness():
         checked += 1
         grad = cnn_backward(model, X, y)
 
-        def cnn_loss(params, factory=factory, X=X, y=y):
-            return float(np.mean((cnn_forward(factory(params=params), X) - y) ** 2))
+        def cnn_loss(params, model=model, X=X, y=y):
+            return float(np.mean((cnn_forward(replace(model, params=params), X) - y) ** 2))
 
         fd = finite_difference_gradient(cnn_loss, model.params, 1e-5)
         ok = ok and np.abs(grad - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,6 @@ from oracles import finite_difference_gradient
 def test_parameter_counts():
     assert cnn51().n_parameters == 51
     assert cnn113().n_parameters == 113
-
-
-def test_declared_count_mismatch_rejected():
-    with pytest.raises(CnnError):
-        CnnModel(input_dim=4, conv_channels=2, conv_kernel=3, hidden=(7,),
-                 declared_count=50)
-
-
-def test_kernel_longer_than_input_rejected():
-    with pytest.raises(CnnError):
-        CnnModel(input_dim=2, conv_channels=1, conv_kernel=3, hidden=(2,),
-                 declared_count=11)
 
 
 def test_forward_range_and_shape(rng):
@@ -58,7 +48,7 @@ def test_backward_matches_finite_differences(factory, rng):
     grad = cnn_backward(model, X, y)
 
     def loss(params):
-        m = factory(params=params)
+        m = replace(model, params=params)
         return float(np.mean((cnn_forward(m, X) - y) ** 2))
 
     fd = finite_difference_gradient(loss, model.params, 1e-5)

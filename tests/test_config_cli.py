@@ -18,14 +18,13 @@ from scatterqml.dataset import DatasetConfig, SweepConfig, desk_sweep_config
 from scatterqml.serialize import (
     SerializeError,
     load_events,
-    load_model,
     read_report_csv,
     save_events,
 )
 from scatterqml.train import MODEL_NAMES, TrainConfig, input_width
 
 from conftest import tiny_sweep_config
-from oracles import format_config
+from oracles import format_config, load_model
 
 TINY_CFG = """
 # smoke-scale sweep
@@ -187,6 +186,22 @@ def test_cli_events_header_without_count_fails_cleanly(tiny_events, tmp_path, ca
     del header["count"]
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     _train_fails_naming(path, capsys, "line 1: missing key 'count'")
+
+
+@pytest.mark.parametrize("key,value,detail", [
+    ("time_step", -1.0, "line 1: time_step must be positive, got -1.0"),
+    ("time_step", "abc", "line 1: could not convert string to float: 'abc'"),
+    ("count", "1", "line 1: count must be an integer, got '1'"),
+    ("count", True, "line 1: count must be an integer, got True"),
+], ids=["time_step=-1.0", "time_step=abc", "count=str", "count=bool"])
+def test_cli_events_header_with_a_bad_value_fails_cleanly(
+    tiny_events, tmp_path, capsys, key, value, detail
+):
+    path, lines = _events_file(tmp_path, tiny_events)
+    header = json.loads(lines[0])
+    (header["config"] if key in header["config"] else header)[key] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    _train_fails_naming(path, capsys, detail)
 
 
 def test_cli_event_without_density_image_fails_cleanly(tiny_events, tmp_path, capsys):

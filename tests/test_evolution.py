@@ -84,13 +84,6 @@ def test_max_dim_failure_raises():
         krylov_expm(_MatvecHam(h).apply, psi, 500.0, tol=1e-14, max_dim=3)
 
 
-def test_invalid_tolerance():
-    model = LatticeModel(sites=4, mass=0.2, coupling=0.1)
-    ham = build_hamiltonian(model)
-    with pytest.raises(ValueError):
-        evolve(ham, np.ones(ham.dimension, complex), 1.0, tol=0.0)
-
-
 def test_happy_breakdown_is_exact():
     # an eigenvector spans a one-dimensional Krylov space
     H = np.diag([0.3, -1.1, 2.0])

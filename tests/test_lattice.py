@@ -20,6 +20,7 @@ from scatterqml.observables import site_densities
 from oracles import (
     dense_ground_state,
     dense_hamiltonian,
+    dominant_momenta,
     embed,
     ff_single_particle,
     sector_indices,
@@ -89,7 +90,7 @@ def test_single_particle_dispersion():
     model = LatticeModel(sites=14, mass=0.5, coupling=0.0)
     modes = free_modes(model)
     predicted = np.sign(modes.energies) * np.sqrt(
-        model.mass**2 + np.sin(modes.momenta) ** 2
+        model.mass**2 + np.sin(dominant_momenta(modes.vectors)) ** 2
     )
     assert np.abs(np.sort(predicted) - modes.energies).max() < 0.12
 
@@ -162,7 +163,7 @@ def test_scattering_state_properties():
     vacuum, _ = ground_state(ham)
     fer = WavepacketSpec("fermion", 2.0, 0.9, 0.6)
     anti = WavepacketSpec("antifermion", 7.0, -0.9, 0.6)
-    psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
+    psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     # charge neutrality: one particle added, one removed
     excess = site_densities(ham.sector, psi) - site_densities(ham.sector, vacuum)
@@ -175,10 +176,12 @@ def test_scattering_state_properties():
 
 def test_scattering_state_rejects_overlapping_packets():
     model = LatticeModel(sites=8, mass=0.4, coupling=0.3)
+    ham = build_hamiltonian(model)
+    vacuum, _ = ground_state(ham)
     fer = WavepacketSpec("fermion", 3.0, 0.9)
     anti = WavepacketSpec("antifermion", 5.0, -0.9)
-    with pytest.raises(LatticeError):
-        prepare_scattering_state(model, fer, anti)
+    with pytest.raises(LatticeError, match="not spatially separated"):
+        prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
 
 def test_packets_counter_propagate():
@@ -187,7 +190,7 @@ def test_packets_counter_propagate():
     vacuum, _ = ground_state(ham)
     fer = WavepacketSpec("fermion", 3.0, 0.9)
     anti = WavepacketSpec("antifermion", 9.0, -0.9)
-    psi = prepare_scattering_state(model, fer, anti, ham=ham, vacuum=vacuum)
+    psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
     from scatterqml.evolution import evolve
 

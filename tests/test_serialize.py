@@ -9,7 +9,6 @@ from scatterqml.serialize import (
     SerializeError,
     load_dataset,
     load_events,
-    load_model,
     read_report_csv,
     save_dataset,
     save_events,
@@ -19,6 +18,7 @@ from scatterqml.serialize import (
 from scatterqml.train import TrainConfig, run_experiment
 
 from conftest import tiny_sweep_config
+from oracles import load_model
 from test_train import synthetic_dataset
 
 
@@ -116,7 +116,7 @@ def test_schema_mismatch_raises(tmp_path):
 
 def test_wrong_kind_raises(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, "cnn51", np.zeros(51))
+    save_model(path, "cnn51", np.zeros(51), metadata={})
     with pytest.raises(SerializeError):
         load_dataset(path)
 
