@@ -46,8 +46,8 @@ def main():
     vacuum, e0 = ground_state(ham)
     print(f"vacuum energy E0 = {e0:.6f}")
 
-    fer = WavepacketSpec("fermion", 3.0, 0.9)
-    anti = WavepacketSpec("antifermion", 9.0, -0.9)
+    fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
+    anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
     vac_mid = [entanglement_entropy(sector, vacuum, c) for c in (N // 2 - 1, N // 2)]

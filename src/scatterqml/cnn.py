@@ -83,7 +83,7 @@ class CnnModel:
         return w_conv, b_conv, dense
 
     @staticmethod
-    def random(template: "CnnModel", seed: int = 0) -> "CnnModel":
+    def random(template: "CnnModel", seed: int) -> "CnnModel":
         rng = np.random.default_rng(seed)
         params = rng.normal(0.0, 1.0 / np.sqrt(INPUT_DIM), size=template.n_parameters)
         return replace(template, params=params)

@@ -28,6 +28,10 @@ from .lattice import (
 from .observables import ObservableError, entanglement_entropy, site_densities
 
 WORKERS_ENV = "SCATTERQML_WORKERS"
+# states of a trajectory whose observables are evaluated together: batching
+# over times amortises the per-call cost, and a short chunk, unlike the whole
+# trajectory, adds little to the sweep's peak memory
+TIME_CHUNK = 16
 
 
 def worker_count() -> int:
@@ -202,6 +206,9 @@ def _run_group(args):
     )
     pos_c, pos_d = config.packet_positions
     times = config.times
+    # one buffer serves every chunk, so a finished chunk is not kept alive
+    # beside the next one while its Krylov steps run
+    chunk_buffer = np.empty((TIME_CHUNK, basis.dimension), complex)
 
     events = []
     for kc, kd in pairs:
@@ -218,20 +225,24 @@ def _run_group(args):
             fer = WavepacketSpec("fermion", pos_c, kc, config.momentum_width)
             anti = WavepacketSpec("antifermion", pos_d, kd, config.momentum_width)
             psi0 = prepare_scattering_state(ham, vacuum, modes, fer, anti)
-            density_rows, entropy_rows = [], []
-            for _, psi in trajectory(ham, psi0, times):
-                density_rows.append(site_densities(basis, psi) - vac_density)
-                entropy_rows.append(
-                    np.array(
-                        [entanglement_entropy(basis, psi, cut) for cut in range(1, config.sites)]
+            density_image = np.empty((len(times), config.sites))
+            entropy_traces = np.empty((len(times), config.sites - 1))
+            steps = trajectory(ham, psi0, times)
+            for start in range(0, len(times), TIME_CHUNK):
+                stack = chunk_buffer[: min(TIME_CHUNK, len(times) - start)]
+                for row, (_, psi) in zip(stack, steps):
+                    row[:] = psi
+                rows = slice(start, start + len(stack))
+                density_image[rows] = site_densities(basis, stack) - vac_density
+                for cut in range(1, config.sites):
+                    entropy_traces[rows, cut - 1] = (
+                        entanglement_entropy(basis, stack, cut) - vac_entropies[cut - 1]
                     )
-                    - vac_entropies
-                )
             event = ScatteringEvent(
                 parameters=params,
                 times=times.copy(),
-                density_image=np.array(density_rows),
-                entropy_traces=np.array(entropy_rows),
+                density_image=density_image,
+                entropy_traces=entropy_traces,
             )
             event.t_star = detect_separation_time(
                 event.density_image, times, config.sep_fraction, config.sites

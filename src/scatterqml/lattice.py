@@ -65,7 +65,7 @@ class WavepacketSpec:
     species: str  # "fermion" | "antifermion"
     position_center: float
     momentum_center: float
-    momentum_width: float = 0.4
+    momentum_width: float
 
     def __post_init__(self):
         if self.species not in ("fermion", "antifermion"):
@@ -121,8 +121,10 @@ class Sector:
         ascend in (right bits, left bits), so the states with a given left
         particle number already form their block's (right, left) grid in
         row-major order.  Each grid is transposed to have no more rows than
-        columns (singular values are unchanged) and grids of equal shape are
-        stacked, so one batched SVD serves each table.  Built once per cut.
+        columns (the Schmidt values are unchanged, and the Gram matrix M M^dag
+        is the smaller one) and grids of equal shape are stacked, so the Gram
+        eigenvalues of each table come batched over a chunk of times.  Built
+        once per cut.
         """
         if cut not in self._blocks:
             left_count = _bit_count(self.states & ((1 << cut) - 1), cut)

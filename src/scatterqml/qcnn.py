@@ -113,7 +113,7 @@ class QcnnModel:
         return PARAMS_PER_LAYER * self.n_layers
 
     @classmethod
-    def random(cls, n_qubits, encoding="hee", seed=0):
+    def random(cls, n_qubits, encoding, seed):
         rng = np.random.default_rng(seed)
         model = cls(n_qubits=n_qubits, encoding=encoding)
         return replace(model, params=rng.uniform(-np.pi, np.pi, size=model.n_parameters))

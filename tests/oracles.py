@@ -5,7 +5,9 @@ the full 2^N space and deliberately avoids the package's own code paths:
 operators are assembled from explicit Kronecker products, evolution uses a
 dense matrix exponential, entropies come from a full outer-product partial
 trace, and the free-field references use the single-particle correlation
-matrix.  The package works on particle-number sectors; ``embed`` places a
+matrix.  ``svd_entanglement_entropy`` keeps the per-state SVD of the
+Schmidt blocks as the reference for the package's Gram eigenvalues batched
+over states.  The package works on particle-number sectors; ``embed`` places a
 sector state into the full space (at the basis states the package's
 ``Sector`` lists) so that it can be compared with these references.  The
 circuit references simulate one gate at a time, ``format_config`` renders a
@@ -74,16 +76,22 @@ def dense_number_operator(n_sites: int) -> np.ndarray:
     return total
 
 
-def number_diagonal(n_sites: int) -> np.ndarray:
-    """Diagonal of the total number operator, from Kronecker products of
-    single-site occupations (site 0 is the last factor)."""
-    total = np.zeros(1 << n_sites)
+def site_number_diagonals(n_sites: int) -> np.ndarray:
+    """(n_sites, 2^n_sites): row n is the diagonal of the number operator of
+    site n, from Kronecker products of single-site occupations (site 0 is the
+    last factor)."""
+    rows = []
     for site in range(n_sites):
         diag = np.ones(1)
         for j in range(n_sites - 1, -1, -1):
             diag = np.kron(diag, [0.0, 1.0] if j == site else [1.0, 1.0])
-        total += diag
-    return total
+        rows.append(diag)
+    return np.array(rows)
+
+
+def number_diagonal(n_sites: int) -> np.ndarray:
+    """Diagonal of the total number operator."""
+    return site_number_diagonals(n_sites).sum(axis=0)
 
 
 def sector_indices(n_sites: int, particles: int) -> np.ndarray:
@@ -180,6 +188,20 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-14]
     return float(-np.sum(vals * np.log(vals)))
+
+
+def svd_entanglement_entropy(sector, state: np.ndarray, cut: int) -> float:
+    """Entropy of sites {0..cut-1} of one sector state from the singular values
+    of its Schmidt blocks, one SVD per block table."""
+    svals = np.concatenate(
+        [
+            np.linalg.svd(state[ranks], compute_uv=False).ravel()
+            for ranks in sector.schmidt_blocks(cut)
+        ]
+    )
+    p = svals**2
+    p = p[p > 1e-14]
+    return float(-np.sum(p * np.log(p)))
 
 
 def entropy_profile(sector, state: np.ndarray, vacuum_entropies: np.ndarray) -> np.ndarray:

@@ -110,8 +110,8 @@ def test_criterion_2_free_field_oracle():
     ham = build_hamiltonian(model)
     vacuum, _ = ground_state(ham)
     modes = free_modes(model)
-    fer = WavepacketSpec("fermion", 3.0, 0.9)
-    anti = WavepacketSpec("antifermion", 9.0, -0.9)
+    fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
+    anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi0 = prepare_scattering_state(ham, vacuum, modes, fer, anti)
 
     h = ff_single_particle(N, mass)

@@ -23,7 +23,16 @@ from scatterqml.dataset import (
     run_sweep,
     worker_count,
 )
-from scatterqml.evolution import EvolutionError
+from scatterqml.evolution import EvolutionError, trajectory
+from scatterqml.lattice import (
+    LatticeModel,
+    WavepacketSpec,
+    build_hamiltonian,
+    free_modes,
+    ground_state,
+    prepare_scattering_state,
+)
+from scatterqml.observables import excess_entropy, site_densities
 
 from conftest import tiny_sweep_config
 
@@ -157,6 +166,36 @@ def test_pooled_sweep_writes_the_same_bytes_as_serial(tiny_events, tmp_path):
     save_events(pooled, tiny_sweep_config(), tiny_events)  # the fixture ran 4 workers
     save_events(serial, tiny_sweep_config(), run_sweep(tiny_sweep_config(), workers=1))
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_time_chunks_match_per_time_observables():
+    """A time grid that is not a multiple of TIME_CHUNK: every chunk, the
+    short last one included, gives the rows single-state calls give."""
+    config = dataclasses.replace(tiny_sweep_config(), time_horizon=8.5)
+    times = config.times
+    assert times.size == 17 and times.size % dataset.TIME_CHUNK != 0
+    task = (config, 0.5, 0.6, [(0.9, -0.9)])
+    (event,) = dataset._run_group(task)
+    assert event.error is None
+
+    model = LatticeModel(sites=8, mass=0.5, coupling=0.6)
+    ham = build_hamiltonian(model)
+    sector = ham.sector
+    vacuum, _ = ground_state(ham)
+    c, d = config.packet_positions
+    fer = WavepacketSpec("fermion", c, 0.9, config.momentum_width)
+    anti = WavepacketSpec("antifermion", d, -0.9, config.momentum_width)
+    psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
+    densities, entropies = [], []
+    for _, psi in trajectory(ham, psi0, times):
+        densities.append(site_densities(sector, psi) - site_densities(sector, vacuum))
+        entropies.append([excess_entropy(sector, psi, vacuum, cut) for cut in range(1, 8)])
+    assert np.abs(event.density_image - densities).max() < 1e-13
+    assert np.abs(event.entropy_traces - entropies).max() < 1e-13
+
+    (again,) = dataset._run_group(task)
+    assert again.density_image.tobytes() == event.density_image.tobytes()
+    assert again.entropy_traces.tobytes() == event.entropy_traces.tobytes()
 
 
 def test_pca_rank_reconstruction(rng):

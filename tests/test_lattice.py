@@ -137,7 +137,7 @@ def test_half_filling_sector_size():
 def test_wavepacket_is_normalized_and_localized():
     model = LatticeModel(sites=12, mass=0.4, coupling=0.0)
     modes = free_modes(model)
-    phi = gaussian_wavepacket(WavepacketSpec("fermion", 3.0, 0.9), modes)
+    phi = gaussian_wavepacket(WavepacketSpec("fermion", 3.0, 0.9, 0.4), modes)
     assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
     weights = np.abs(phi) ** 2
     centroid = np.sum(np.arange(12) * weights)
@@ -178,8 +178,8 @@ def test_scattering_state_rejects_overlapping_packets():
     model = LatticeModel(sites=8, mass=0.4, coupling=0.3)
     ham = build_hamiltonian(model)
     vacuum, _ = ground_state(ham)
-    fer = WavepacketSpec("fermion", 3.0, 0.9)
-    anti = WavepacketSpec("antifermion", 5.0, -0.9)
+    fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
+    anti = WavepacketSpec("antifermion", 5.0, -0.9, 0.4)
     with pytest.raises(LatticeError, match="not spatially separated"):
         prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
@@ -188,8 +188,8 @@ def test_packets_counter_propagate():
     model = LatticeModel(sites=12, mass=0.3, coupling=0.0)
     ham = build_hamiltonian(model)
     vacuum, _ = ground_state(ham)
-    fer = WavepacketSpec("fermion", 3.0, 0.9)
-    anti = WavepacketSpec("antifermion", 9.0, -0.9)
+    fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
+    anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
     from scatterqml.evolution import evolve

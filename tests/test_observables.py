@@ -1,7 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
-from scatterqml.lattice import LatticeModel, build_hamiltonian, ground_state, number_sector
+from scatterqml.evolution import trajectory
+from scatterqml.lattice import (
+    LatticeModel,
+    WavepacketSpec,
+    build_hamiltonian,
+    free_modes,
+    ground_state,
+    number_sector,
+    prepare_scattering_state,
+)
 from scatterqml.observables import (
     ObservableError,
     entanglement_entropy,
@@ -17,6 +28,8 @@ from oracles import (
     embed,
     entropy_profile,
     reduced_density_matrix,
+    site_number_diagonals,
+    svd_entanglement_entropy,
     von_neumann_entropy,
 )
 
@@ -62,22 +75,64 @@ def test_reduced_density_matrix_matches_partial_trace_oracle(rng):
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
+# a log(0) or a negative Schmidt probability would raise a RuntimeWarning
+@pytest.mark.filterwarnings("error")
 def test_product_state_has_zero_entropy():
     sector = number_sector(4, 2)
     psi = _basis_state(sector, 0b1010)
+    stack = np.array([psi, _basis_state(sector, 0b0011)])
     for cut in (1, 2, 3):
         assert entanglement_entropy(sector, psi, cut) < 1e-14
+        assert np.abs(entanglement_entropy(sector, stack, cut)).max() < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
 def test_bell_and_ghz_cuts_give_ln2():
     pair = number_sector(2, 1)
     bell = (_basis_state(pair, 0b01) + _basis_state(pair, 0b10)) / np.sqrt(2)
     assert abs(entanglement_entropy(pair, bell, 1) - np.log(2)) < 1e-12
+    stack = np.array([bell, _basis_state(pair, 0b01)])
+    assert np.abs(entanglement_entropy(pair, stack, 1) - [np.log(2), 0.0]).max() < 1e-12
     sector = number_sector(4, 2)
     ghz = (_basis_state(sector, 0b0011) + _basis_state(sector, 0b1100)) / np.sqrt(2)
     assert abs(entanglement_entropy(sector, ghz, 2) - np.log(2)) < 1e-12
     rho = reduced_density_matrix(embed(sector, ghz), 2)
     assert abs(von_neumann_entropy(rho) - np.log(2)) < 1e-12
+
+
+@pytest.mark.parametrize("sites", (4, 6, 8))
+def test_stacked_observables_match_per_state_oracles(rng, sites):
+    sector = number_sector(sites, sites // 2)
+    stack = np.array([_random_sector_state(rng, sector) for _ in range(5)])
+    densities = site_densities(sector, stack)
+    assert densities.shape == (5, sites)
+    for psi, row in zip(stack, densities):
+        assert np.abs(row - dense_site_densities(sites, embed(sector, psi))).max() < 1e-12
+    for cut in range(1, sites):
+        entropies = entanglement_entropy(sector, stack, cut)
+        assert entropies.shape == (5,)
+        svd = [svd_entanglement_entropy(sector, psi, cut) for psi in stack]
+        assert np.abs(entropies - svd).max() < 1e-12
+        dense = [dense_entropy(embed(sector, psi), cut) for psi in stack]
+        assert np.abs(entropies - dense).max() < 1e-10
+
+
+def test_trajectory_stack_matches_per_state_oracles():
+    """48 times of an N=12 collision, evaluated as one stack."""
+    model = LatticeModel(sites=12, mass=0.4, coupling=0.6)
+    ham = build_hamiltonian(model)
+    sector = ham.sector
+    vacuum, _ = ground_state(ham)
+    fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
+    anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
+    psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
+    stack = np.array([psi for _, psi in trajectory(ham, psi0, 0.5 * np.arange(1, 49))])
+    occupations = site_number_diagonals(12)
+    reference = np.array([occupations @ np.abs(embed(sector, psi)) ** 2 for psi in stack])
+    assert np.abs(site_densities(sector, stack) - reference).max() < 1e-12
+    for cut in range(1, 12):
+        svd = [svd_entanglement_entropy(sector, psi, cut) for psi in stack]
+        assert np.abs(entanglement_entropy(sector, stack, cut) - svd).max() < 1e-12
 
 
 def test_left_right_symmetry(rng):
@@ -136,6 +191,25 @@ def test_state_outside_its_sector_raises(rng):
         entanglement_entropy(number_sector(4, 2), psi, 2)
     with pytest.raises(ObservableError):
         site_densities(number_sector(4, 2), psi)
+
+
+def test_one_state_or_a_stack_of_states_is_accepted(rng):
+    sector = number_sector(6, 3)
+    stack = np.array([_random_sector_state(rng, sector) for _ in range(3)])
+    assert site_densities(sector, stack[0]).shape == (6,)
+    assert site_densities(sector, stack).shape == (3, 6)
+    assert isinstance(entanglement_entropy(sector, stack[0], 3), float)
+    assert entanglement_entropy(sector, stack, 3).shape == (3,)
+
+
+@pytest.mark.parametrize("shape", [(3, 21), (2, 3, 20), ()])
+def test_other_state_shapes_raise_naming_the_shape(shape):
+    sector = number_sector(6, 3)  # dimension 20
+    states = np.ones(shape, complex)
+    with pytest.raises(ObservableError, match=re.escape(str(shape))):
+        site_densities(sector, states)
+    with pytest.raises(ObservableError, match=re.escape(str(shape))):
+        entanglement_entropy(sector, states, 3)
 
 
 def test_non_normalized_density_matrix_rejected():

@@ -94,7 +94,7 @@ def test_zero_parameters_give_deterministic_readout():
 
 
 def test_forward_probabilities_in_range(rng):
-    model = QcnnModel.random(4, seed=3)
+    model = QcnnModel.random(4, "hee", 3)
     angles = rng.uniform(0, np.pi, size=(6, 4))
     p = qcnn_forward(model, encode(angles, 4, model.encoding))
     assert p.shape == (6,)
@@ -105,7 +105,7 @@ def test_shared_weight_equivariance(rng):
     # swapping the two conv pairs' input blocks must not change the readout
     # distribution structure: with identical per-pair inputs the circuit
     # output is invariant under exchanging the pairs
-    model = QcnnModel.random(4, seed=5)
+    model = QcnnModel.random(4, "hee", 5)
     a = rng.uniform(0, np.pi, size=2)
     angles = np.concatenate([a, a])  # pair (q0,q1) equals pair (q2,q3)
     p1 = qcnn_forward(model, encode(angles[None, :], 4, model.encoding))
@@ -115,7 +115,7 @@ def test_shared_weight_equivariance(rng):
 
 
 def test_parameter_shift_matches_finite_differences(rng):
-    model = QcnnModel.random(4, seed=11)
+    model = QcnnModel.random(4, "hee", 11)
     states = encode(rng.uniform(0, np.pi, size=(3, 4)), 4, "hee")
     labels = np.array([0.0, 1.0, 1.0])
     grad = parameter_shift_gradient(model, states, labels)
@@ -131,7 +131,7 @@ def test_parameter_shift_matches_finite_differences(rng):
 
 def test_adjoint_agrees_with_parameter_shift(rng):
     for width in (4, 8):
-        model = QcnnModel.random(width, seed=width)
+        model = QcnnModel.random(width, "hee", width)
         states = encode(rng.uniform(0, np.pi, size=(4, width)), width, "tpe")
         labels = rng.integers(0, 2, size=4).astype(float)
         ps = parameter_shift_gradient(model, states, labels)
@@ -145,7 +145,7 @@ def test_adjoint_agrees_with_parameter_shift(rng):
 @pytest.mark.parametrize("kind", ["hee", "tpe"])
 @pytest.mark.parametrize("width", [4, 8, 16])
 def test_layer_blocks_match_gate_by_gate(rng, width, kind):
-    model = QcnnModel.random(width, encoding=kind, seed=width)
+    model = QcnnModel.random(width, kind, width)
     states = encode(rng.uniform(0, np.pi, size=(2, width)), width, kind)
     labels = np.array([0.0, 1.0])
     assert np.abs(qcnn_forward(model, states) - gate_forward(model, states)).max() < 1e-12
@@ -158,12 +158,12 @@ def test_forward_applies_one_block_per_pair_and_layer(monkeypatch, width):
     calls = []
     apply = circuits.apply_unitary
     monkeypatch.setattr(circuits, "apply_unitary", lambda *args: calls.append(1) or apply(*args))
-    qcnn_forward(QcnnModel.random(width), encode(np.zeros((1, width)), width, "tpe"))
+    qcnn_forward(QcnnModel.random(width, "hee", 0), encode(np.zeros((1, width)), width, "tpe"))
     assert len(calls) == width - 1  # conv and pool fused into one block per pair
 
 
 def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
-    model = QcnnModel.random(16, seed=17)
+    model = QcnnModel.random(16, "hee", 17)
     states = encode(rng.uniform(0, np.pi, size=(1, 16)), 16, "hee")
     labels = np.array([1.0])
     direction = rng.normal(size=model.n_parameters)
