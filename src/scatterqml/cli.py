@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data | train | experiment | report.
 
-gen-data writes a run directory (events.jsonl + dataset.json); train and
-experiment consume it and write checkpoints / a per-epoch report CSV; report
-renders the final-epoch summary table.
+Every command works on one run directory with fixed file names.  gen-data
+writes events.jsonl and dataset.json there; train reads events.jsonl and
+writes model-<name>-seed<base_seed>.json; experiment reads events.jsonl and
+writes report.csv; report renders report.csv's final-epoch summary table.
 """
 
 from __future__ import annotations
@@ -48,22 +49,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_input(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--in", dest="run_dir", help="run directory from gen-data")
-    group.add_argument("--events", help="events file (JSON lines)")
+def _add_input(parser, help="run directory from gen-data"):
+    parser.add_argument("--in", dest="run_dir", type=Path, required=True, help=help)
 
 
 def _load_values(args):
     values = cfgmod.load_config(args.config) if args.config else {}
     values.update(cfgmod.parse_assignments(args.overrides))
     return values
-
-
-def _events_path(args) -> Path:
-    if args.events is not None:
-        return Path(args.events)
-    return Path(args.run_dir) / "events.jsonl"
 
 
 def _build_parser():
@@ -85,8 +78,6 @@ def _build_parser():
     _add_common(p)
     _add_input(p)
     p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--seed", type=int, default=0, help="training run seed")
-    p.add_argument("--out", help="model checkpoint file (JSON)")
 
     p = sub.add_parser("experiment", help="multi-run experiments, write a report CSV")
     _add_common(p)
@@ -97,13 +88,10 @@ def _build_parser():
         choices=MODEL_NAMES,
         default=["qcnn4-hee", "cnn51", "cnn113"],
     )
-    p.add_argument("--out", help="report CSV (default <run dir>/report.csv)")
     p.add_argument("--workers", type=_positive_int, default=None)
 
-    p = sub.add_parser("report", help="summarize a report CSV")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--in", dest="run_dir", help="run directory with report.csv")
-    group.add_argument("--report", help="report CSV from experiment")
+    p = sub.add_parser("report", help="summarize a run directory's report CSV")
+    _add_input(p, help="run directory with report.csv")
     return parser
 
 
@@ -131,44 +119,36 @@ def cmd_train(args):
     values = _load_values(args)
     tc = cfgmod.train_config(values, model=args.model)
     options = replace(cfgmod.dataset_config(values), n_components=input_width(tc.model))
-    _, events = load_events(_events_path(args))
+    _, events = load_events(args.run_dir / "events.jsonl")
     dataset = build_dataset(events, options)
-    result = train(dataset, tc, seed=args.seed)
+    # run 0 of an experiment with the same config
+    result = train(dataset, tc, seed=tc.base_seed)
     print(
-        f"{tc.model} seed {args.seed}: "
+        f"{tc.model} seed {tc.base_seed}: "
         f"final train acc {result.train_accuracy[-1]:.4f}, "
         f"test acc {result.test_accuracy[-1]:.4f}, "
         f"loss {result.train_loss[-1]:.6f}"
     )
-    out = args.out
-    if out is None and args.run_dir is not None:
-        out = Path(args.run_dir) / f"model-{tc.model}-seed{args.seed}.json"
-    if out:
-        save_model(
-            out,
-            tc.model,
-            result.final_params,
-            metadata={
-                "seed": args.seed,
-                "epochs": tc.epochs,
-                "threshold": dataset.threshold,
-                "final_test_accuracy": result.test_accuracy[-1],
-            },
-        )
-        print(f"wrote checkpoint to {out}")
+    out = args.run_dir / f"model-{tc.model}-seed{tc.base_seed}.json"
+    save_model(
+        out,
+        tc.model,
+        result.final_params,
+        metadata={
+            "seed": tc.base_seed,
+            "epochs": tc.epochs,
+            "threshold": dataset.threshold,
+            "final_test_accuracy": result.test_accuracy[-1],
+        },
+    )
+    print(f"wrote checkpoint to {out}")
     return 0
 
 
 def cmd_experiment(args):
     values = _load_values(args)
     options = cfgmod.dataset_config(values)
-    _, events = load_events(_events_path(args))
-    out = args.out
-    if out is None:
-        if args.run_dir is None:
-            print("error: --out is required with --events", file=sys.stderr)
-            return 1
-        out = Path(args.run_dir) / "report.csv"
+    _, events = load_events(args.run_dir / "events.jsonl")
     reports = []
     datasets = {}
     for model in args.models:
@@ -183,14 +163,14 @@ def cmd_experiment(args):
             f"{model}: mean test acc {rep.final_mean:.4f} (sem {sem}, "
             f"{rep.completed} runs, {rep.failed} failed)"
         )
+    out = args.run_dir / "report.csv"
     write_report_csv(out, reports)
     print(f"wrote report to {out}")
     return 0
 
 
 def cmd_report(args):
-    path = Path(args.report) if args.report else Path(args.run_dir) / "report.csv"
-    rows = read_report_csv(path)
+    rows = read_report_csv(args.run_dir / "report.csv")
     if not rows:
         print("report is empty", file=sys.stderr)
         return 1

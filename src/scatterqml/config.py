@@ -21,7 +21,9 @@ Dataset keys:
     n_components    PCA dimension of the dataset written by gen-data
 
 Training keys:
-    model, learning_rate, batch_size, epochs, runs, base_seed
+    model, learning_rate, batch_size, epochs, runs
+    base_seed       seed of the first run: experiment trains base_seed ..
+                    base_seed + runs - 1, and train trains base_seed alone
 """
 
 from __future__ import annotations

@@ -25,29 +25,18 @@ from .lattice import (
     ground_state,
     prepare_scattering_state,
 )
-from .observables import ObservableError, entanglement_entropy, site_densities
+from .observables import entanglement_entropy, site_densities
 
-WORKERS_ENV = "SCATTERQML_WORKERS"
 # states of a trajectory whose observables are evaluated together: batching
 # over times amortises the per-call cost, and a short chunk, unlike the whole
 # trajectory, adds little to the sweep's peak memory
 TIME_CHUNK = 16
 
 
-def worker_count() -> int:
-    """Worker-pool size: environment override or available parallelism."""
-    value = os.environ.get(WORKERS_ENV)
-    if not value:
-        return os.cpu_count() or 1
-    if not value.isdecimal() or int(value) < 1:
-        raise DatasetError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def ordered_map(fn, tasks, workers: int | None = None) -> list:
-    """[fn(t) for t in tasks], in a process pool of `workers` (default
-    worker_count()) when that is more than one and so are the tasks."""
-    n_workers = workers if workers is not None else worker_count()
+    """[fn(t) for t in tasks], in a process pool of `workers` (default: the
+    available parallelism) when that is more than one and so are the tasks."""
+    n_workers = workers if workers is not None else (os.cpu_count() or 1)
     if n_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(fn, tasks))
@@ -249,7 +238,7 @@ def _run_group(args):
             )
             if event.t_star is not None:
                 event.delta_s_mid = central_excess_entropy(event, event.t_star)
-        except (LatticeError, EvolutionError, ObservableError, DatasetError) as exc:
+        except (LatticeError, EvolutionError, DatasetError) as exc:
             # an expected physics failure becomes the event's error; the sweep goes on
             event = ScatteringEvent(
                 parameters=params,

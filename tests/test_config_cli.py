@@ -14,14 +14,19 @@ from scatterqml.config import (
     sweep_config,
     train_config,
 )
-from scatterqml.dataset import DatasetConfig, SweepConfig, desk_sweep_config
+from scatterqml.dataset import (
+    DatasetConfig,
+    SweepConfig,
+    build_dataset,
+    desk_sweep_config,
+)
 from scatterqml.serialize import (
     SerializeError,
     load_events,
     read_report_csv,
     save_events,
 )
-from scatterqml.train import MODEL_NAMES, TrainConfig, input_width
+from scatterqml.train import MODEL_NAMES, TrainConfig, input_width, train
 
 from conftest import tiny_sweep_config
 from oracles import format_config, load_model
@@ -97,7 +102,6 @@ def test_format_config_round_trips(tmp_path):
 
 def test_cli_full_pipeline(tiny_cfg_file, tmp_path, capsys):
     run_dir = tmp_path / "run"
-    model_path = tmp_path / "model.json"
 
     assert main(["gen-data", "--config", str(tiny_cfg_file),
                  "--out", str(run_dir), "--workers", "2"]) == 0
@@ -106,9 +110,8 @@ def test_cli_full_pipeline(tiny_cfg_file, tmp_path, capsys):
     assert (run_dir / "dataset.json").exists()
 
     assert main(["train", "--config", str(tiny_cfg_file),
-                 "--in", str(run_dir), "--model", "cnn51",
-                 "--out", str(model_path)]) == 0
-    name, params, meta = load_model(model_path)
+                 "--in", str(run_dir), "--model", "cnn51"]) == 0
+    name, params, meta = load_model(run_dir / "model-cnn51-seed0.json")
     assert name == "cnn51" and params.size == 51 and meta["epochs"] == 3
 
     assert main(["experiment", "--config", str(tiny_cfg_file),
@@ -125,9 +128,24 @@ def test_cli_full_pipeline(tiny_cfg_file, tmp_path, capsys):
 
 
 def test_cli_missing_file_fails_cleanly(tmp_path, capsys):
-    code = main(["train", "--events", str(tmp_path / "nope.jsonl")])
+    code = main(["train", "--in", str(tmp_path / "nope")])
     assert code == 1
-    assert "no such file" in capsys.readouterr().err
+    assert f"no such file: {tmp_path / 'nope' / 'events.jsonl'}" in capsys.readouterr().err
+
+
+def test_cli_train_seeds_its_run_with_base_seed(tiny_cfg_file, tiny_events, tmp_path):
+    path, _ = _events_file(tmp_path, tiny_events)
+    assert main(["train", "--config", str(tiny_cfg_file), "--in", str(tmp_path),
+                 "--model", "cnn51", "--set", "base_seed=3"]) == 0
+    name, params, meta = load_model(tmp_path / "model-cnn51-seed3.json")
+    assert name == "cnn51" and meta["seed"] == 3
+    assert not (tmp_path / "model-cnn51-seed0.json").exists()
+
+    values = load_config(tiny_cfg_file)
+    tc = train_config(values, model="cnn51")
+    options = dataclasses.replace(dataset_config(values), n_components=input_width("cnn51"))
+    dataset = build_dataset(load_events(path)[1], options)
+    np.testing.assert_array_equal(params, train(dataset, tc, seed=3).final_params)
 
 
 def test_cli_bad_override_fails_cleanly(tiny_cfg_file, tmp_path, capsys):
@@ -152,23 +170,21 @@ def test_cli_report_with_a_bad_row_names_the_file_and_line(tmp_path, capsys, las
     path.write_text(
         "epoch,model,threshold,mean_acc,sem\n1,cnn51,0.5,0.75,0.01\n" + last_row + "\n"
     )
-    code = main(["report", "--report", str(path)])
+    code = main(["report", "--in", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert str(path) in err and "line 3" in err
 
 
 def _events_file(tmp_path, tiny_events):
-    from conftest import tiny_sweep_config
-    from scatterqml.serialize import save_events
-
+    """A run directory's events file, written at tmp_path, and its lines."""
     path = tmp_path / "events.jsonl"
     save_events(path, tiny_sweep_config(), tiny_events)
     return path, path.read_text().splitlines()
 
 
 def _train_fails_naming(path, capsys, detail):
-    code = main(["train", "--events", str(path), "--model", "cnn51"])
+    code = main(["train", "--in", str(path.parent), "--model", "cnn51"])
     err = capsys.readouterr().err
     assert code == 1
     assert str(path) in err and detail in err
@@ -317,7 +333,7 @@ def test_events_header_without_a_config_field_names_the_file(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["gen-data", "--out", "unused"],
-    ["experiment", "--events", "unused.jsonl", "--out", "unused.csv"],
+    ["experiment", "--in", "unused"],
 ])
 @pytest.mark.parametrize("workers", ["-3", "0", "two"])
 def test_cli_rejects_non_positive_workers(command, workers, capsys):

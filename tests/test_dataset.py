@@ -5,7 +5,6 @@ import pytest
 
 from scatterqml import dataset
 from scatterqml.dataset import (
-    WORKERS_ENV,
     DatasetConfig,
     DatasetError,
     ScatteringEvent,
@@ -21,7 +20,6 @@ from scatterqml.dataset import (
     scale_to_angles,
     angle_bounds,
     run_sweep,
-    worker_count,
 )
 from scatterqml.evolution import EvolutionError, trajectory
 from scatterqml.lattice import (
@@ -32,7 +30,7 @@ from scatterqml.lattice import (
     ground_state,
     prepare_scattering_state,
 )
-from scatterqml.observables import excess_entropy, site_densities
+from scatterqml.observables import ObservableError, excess_entropy, site_densities
 
 from conftest import tiny_sweep_config
 
@@ -288,15 +286,6 @@ def test_build_dataset_checks_its_options_first(options, key):
         build_dataset([], DatasetConfig(**options))
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert worker_count() == 3
-    for bad in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        with pytest.raises(DatasetError, match=f"{WORKERS_ENV}.*{bad!r}"):
-            worker_count()
-
-
 def _one_lattice_config():
     return dataclasses.replace(tiny_sweep_config(), masses=(0.5,), couplings=(0.6,))
 
@@ -314,4 +303,13 @@ def test_sweep_records_physics_errors_and_raises_programming_errors(monkeypatch)
 
     monkeypatch.setattr(dataset, "trajectory", broken)
     with pytest.raises(TypeError, match="bad argument"):
+        run_sweep(_one_lattice_config(), workers=1)
+
+    # a wrong state shape or cut is a programming error, not a physics failure
+    def misshapen(*args, **kwargs):
+        raise ObservableError("state has shape (3,)")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(dataset, "entanglement_entropy", misshapen)
+    with pytest.raises(ObservableError, match="shape"):
         run_sweep(_one_lattice_config(), workers=1)
