@@ -23,11 +23,10 @@ from scatterqml import (
     prepare_scattering_state,
     trajectory,
 )
-from scatterqml.dataset import central_excess_entropy, detect_separation_time
-from scatterqml.dataset import ScatteringEvent
+from scatterqml.dataset import TIME_STEP, central_excess_entropy, separation_row
 
 N, MASS, COUPLING = 12, 0.4, 0.5
-TIMES = 0.5 * np.arange(1, 49)
+TIMES = TIME_STEP * np.arange(1, 49)
 
 SHADES = " .:-=+*#%@"
 
@@ -67,19 +66,16 @@ def main():
             row = "".join(shade(x, -0.35, 0.35) for x in d)
             print(f"{t:5.1f}   [{row}]   {s_mid:6.3f}")
 
-    image = np.array(density_rows)
-    event = ScatteringEvent(
-        parameters={}, times=TIMES, density_image=image,
-        entropy_traces=np.array(entropy_rows),
-    )
-    t_star = detect_separation_time(image, TIMES, 0.5, N)
-    print(f"\nseparation time t* = {t_star}")
-    if t_star is not None:
+    row = separation_row(np.array(density_rows))
+    if row is None:
+        print("\nthe packets do not separate within the recorded times")
+    else:
+        print(f"\nseparation time t* = {TIMES[row]}")
         vac_trace = np.array(
             [entanglement_entropy(sector, vacuum, c) for c in range(1, N)]
         )
-        event.entropy_traces = event.entropy_traces - vac_trace
-        print(f"central excess entropy at t*: {central_excess_entropy(event, t_star):.4f}")
+        excess = np.array(entropy_rows[row]) - vac_trace
+        print(f"central excess entropy at t*: {central_excess_entropy(excess):.4f}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .qcnn import QcnnModel
 from .cnn import cnn51, cnn113
-from .train import TrainConfig, train, run_experiment
+from .train import TrainConfig, run_experiment
 
 __all__ = [
     "LatticeModel",
@@ -71,7 +71,6 @@ __all__ = [
     "cnn51",
     "cnn113",
     "TrainConfig",
-    "train",
     "run_experiment",
 ]
 

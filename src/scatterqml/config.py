@@ -6,13 +6,13 @@ rejected.  The same keys can be overridden on the command line.
 
 The keys are the fields of `SweepConfig`, `DatasetConfig` and `TrainConfig`.
 Each value is parsed by its field's annotation; a field that may be None
-carries the word that spells None ("auto", "median") in its metadata.
+carries the word that spells None ("median") in its metadata.
 
 Sweep keys (defaults from the desk-scale sweep):
     masses, couplings, fermion_momenta, antifermion_momenta  float lists
-    sites, time_horizon, time_step, sep_fraction, momentum_width
-    fermion_position, antifermion_position  ("auto" places the packets at
-    N/4 and 3N/4)
+    sites, time_horizon, momentum_width
+    The time step, the separation rule and the packet positions (N/4 and
+    3N/4) are fixed: see dataset.TIME_STEP and dataset.SEPARATION_FRACTION.
 
 Dataset keys:
     threshold       "median" or a float entropy threshold

@@ -8,6 +8,7 @@ angle-scaled train/test splits.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -32,6 +33,11 @@ from .observables import entanglement_entropy, site_densities
 # trajectory, adds little to the sweep's peak memory
 TIME_CHUNK = 16
 
+TIME_STEP = 0.5  # spacing of the recorded times
+# the packets have separated once the density maximum and minimum sit more
+# than this fraction of the lattice apart
+SEPARATION_FRACTION = 0.5
+
 
 def ordered_map(fn, tasks, workers: int | None = None) -> list:
     """[fn(t) for t in tasks], in a process pool of `workers` (default: the
@@ -55,12 +61,7 @@ class SweepConfig:
     antifermion_momenta: tuple
     sites: int = 12
     time_horizon: float = 24.0
-    time_step: float = 0.5
-    sep_fraction: float = 0.5
     momentum_width: float = 0.4
-    # a None field is spelled by its "none" word in config files
-    fermion_position: float | None = field(default=None, metadata={"none": "auto"})
-    antifermion_position: float | None = field(default=None, metadata={"none": "auto"})
 
     def __post_init__(self):
         for f in fields(self):
@@ -70,16 +71,14 @@ class SweepConfig:
                     raise DatasetError(f"{f.name} grid is empty")
                 if not np.all(np.isfinite(value)):
                     raise DatasetError(f"{f.name} must be finite, got {tuple(value)}")
-            elif value is not None and not np.isfinite(value):
+            elif not np.isfinite(value):
                 raise DatasetError(f"{f.name} must be finite, got {value}")
         check_sites(self.sites)
         if min(self.masses) <= 0:
             raise DatasetError(f"masses must be positive, got {tuple(self.masses)}")
-        if self.time_step <= 0:
-            raise DatasetError(f"time_step must be positive, got {self.time_step}")
-        if self.time_horizon < self.time_step:
+        if self.time_horizon < TIME_STEP:
             raise DatasetError(
-                f"time_horizon must be at least time_step ({self.time_step}), "
+                f"time_horizon must be at least time_step ({TIME_STEP}), "
                 f"got {self.time_horizon}"
             )
         if self.momentum_width <= 0:
@@ -88,23 +87,17 @@ class SweepConfig:
             k >= 0 for k in self.antifermion_momenta
         ):
             raise DatasetError("antifermion momenta must be negative (counter-propagating)")
-        if not 0 < self.sep_fraction <= 1:
-            raise DatasetError("sep_fraction must lie in (0, 1]")
 
     @property
     def times(self) -> np.ndarray:
-        n_steps = int(round(self.time_horizon / self.time_step))
-        return self.time_step * np.arange(1, n_steps + 1)
+        """The recorded times: every multiple of TIME_STEP up to time_horizon."""
+        n_steps = int(self.time_horizon // TIME_STEP)
+        return TIME_STEP * np.arange(1, n_steps + 1)
 
     @property
     def packet_positions(self) -> tuple[float, float]:
-        c = self.fermion_position
-        d = self.antifermion_position
-        if c is None:
-            c = float(round(self.sites / 4))
-        if d is None:
-            d = float(round(3 * self.sites / 4))
-        return c, d
+        """Fermion and antifermion packet centres, at N/4 and 3N/4."""
+        return float(round(self.sites / 4)), float(round(3 * self.sites / 4))
 
     def grid(self):
         """All (mass, coupling, fermion momentum, antifermion momentum) tuples."""
@@ -136,8 +129,9 @@ def desk_sweep_config() -> SweepConfig:
 
 @dataclass
 class ScatteringEvent:
-    parameters: dict
-    times: np.ndarray
+    """One grid point's trajectory; its recorded times are SweepConfig.times."""
+
+    parameters: dict  # mass, coupling, fermion_momentum, antifermion_momentum
     density_image: np.ndarray  # (timeSteps, N)
     entropy_traces: np.ndarray  # (timeSteps, N-1)
     t_star: float | None = None
@@ -145,12 +139,12 @@ class ScatteringEvent:
     error: str | None = None
 
 
-def detect_separation_time(density_image, times, sep_fraction, sites) -> float | None:
-    """First recorded time, after the extrema have approached, at which the
-    density maximum and minimum sit more than sep_fraction * sites apart."""
+def separation_row(density_image) -> int | None:
+    """First row, after the extrema have approached, at which the density
+    maximum and minimum sit more than SEPARATION_FRACTION of the sites apart."""
     image = np.asarray(density_image)
     sep = np.abs(np.argmax(image, axis=1) - np.argmin(image, axis=1))
-    threshold = sep_fraction * sites
+    threshold = SEPARATION_FRACTION * image.shape[1]
     close = np.flatnonzero(sep <= threshold)
     if close.size == 0:
         return None  # packets never approached: the rule does not fire
@@ -158,20 +152,14 @@ def detect_separation_time(density_image, times, sep_fraction, sites) -> float |
     apart = apart[apart > close[0]]
     if apart.size == 0:
         return None
-    return float(np.asarray(times)[apart[0]])
+    return int(apart[0])
 
 
-def central_excess_entropy(event: ScatteringEvent, t_star: float) -> float:
-    """Mean excess entropy of the two central cuts at the separation time."""
-    N = event.density_image.shape[1]
-    if N % 2 != 0:
-        raise DatasetError("central cuts require an even site count")
-    idx = np.flatnonzero(np.isclose(event.times, t_star))
-    if idx.size == 0:
-        raise DatasetError("t_star does not lie on the recorded time grid")
-    row = event.entropy_traces[idx[0]]
+def central_excess_entropy(entropy_row) -> float:
+    """Mean excess entropy of the two central cuts of one row of entropy traces."""
+    N = len(entropy_row) + 1
     # column j holds the cut after site j, i.e. cut n = j + 1
-    return float(0.5 * (row[N // 2 - 2] + row[N // 2 - 1]))
+    return float(0.5 * (entropy_row[N // 2 - 2] + entropy_row[N // 2 - 1]))
 
 
 def assign_label(delta_s_mid: float, threshold: float) -> int:
@@ -206,9 +194,6 @@ def _run_group(args):
             "coupling": coupling,
             "fermion_momentum": kc,
             "antifermion_momentum": kd,
-            "fermion_position": pos_c,
-            "antifermion_position": pos_d,
-            "momentum_width": config.momentum_width,
         }
         try:
             fer = WavepacketSpec("fermion", pos_c, kc, config.momentum_width)
@@ -227,22 +212,15 @@ def _run_group(args):
                     entropy_traces[rows, cut - 1] = (
                         entanglement_entropy(basis, stack, cut) - vac_entropies[cut - 1]
                     )
-            event = ScatteringEvent(
-                parameters=params,
-                times=times.copy(),
-                density_image=density_image,
-                entropy_traces=entropy_traces,
-            )
-            event.t_star = detect_separation_time(
-                event.density_image, times, config.sep_fraction, config.sites
-            )
-            if event.t_star is not None:
-                event.delta_s_mid = central_excess_entropy(event, event.t_star)
-        except (LatticeError, EvolutionError, DatasetError) as exc:
+            event = ScatteringEvent(params, density_image, entropy_traces)
+            row = separation_row(density_image)
+            if row is not None:
+                event.t_star = float(times[row])
+                event.delta_s_mid = central_excess_entropy(entropy_traces[row])
+        except (LatticeError, EvolutionError) as exc:
             # an expected physics failure becomes the event's error; the sweep goes on
             event = ScatteringEvent(
                 parameters=params,
-                times=times.copy(),
                 density_image=np.zeros((len(times), config.sites)),
                 entropy_traces=np.zeros((len(times), config.sites - 1)),
                 error=f"{type(exc).__name__}: {exc}",
@@ -253,11 +231,9 @@ def _run_group(args):
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[ScatteringEvent]:
     """One event per grid tuple, in grid order; deterministic given the config."""
-    momentum_pairs = [
-        (kc, kd) for kc in config.fermion_momenta for kd in config.antifermion_momenta
-    ]
     tasks = [
-        (config, m, g, momentum_pairs) for m in config.masses for g in config.couplings
+        (config, m, g, [(kc, kd) for _, _, kc, kd in points])
+        for (m, g), points in itertools.groupby(config.grid(), key=lambda p: p[:2])
     ]
     groups = ordered_map(_run_group, tasks, workers)
     return [event for group in groups for event in group]

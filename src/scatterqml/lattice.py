@@ -160,34 +160,31 @@ def build_hamiltonian(model: LatticeModel) -> SparseHamiltonian:
 
     Hopping (i/2)(xi_{n+1}^dag xi_n - h.c.) carries no string sign on adjacent
     sites and keeps the particle number; mass and interaction terms are
-    diagonal in the occupation basis.
+    diagonal in the occupation basis.  The mass and hopping amplitudes are
+    the entries of single_particle_matrix.
     """
     N = model.sites
     basis = number_sector(N, N // 2)
     states = basis.states
+    occ = basis.occupations
     ranks = np.arange(basis.dimension)
+    h = single_particle_matrix(model)
 
     diag = np.zeros(basis.dimension)
     for n in range(N):
-        occ = (states >> n) & 1
-        diag += (-1) ** n * model.mass * occ
+        diag += h[n, n].real * occ[n]
     for n in range(N - 1):
-        occ = ((states >> n) & 1) * ((states >> (n + 1)) & 1)
-        diag += model.coupling * occ
+        diag += model.coupling * (occ[n] * occ[n + 1])
 
     rows, cols, vals = [ranks], [ranks], [diag]
     for n in range(N - 1):
         # xi_{n+1}^dag xi_n : bit n set, bit n+1 clear
-        mask = (((states >> n) & 1) == 1) & (((states >> (n + 1)) & 1) == 0)
+        mask = (occ[n] == 1) & (occ[n + 1] == 0)
         src = ranks[mask]
         dst = basis.index(states[mask] ^ (1 << n) ^ (1 << (n + 1)))
-        amp = np.full(src.shape, 0.5j)
-        rows.append(dst)
-        cols.append(src)
-        vals.append(amp)
-        rows.append(src)
-        cols.append(dst)
-        vals.append(-amp)
+        rows += [dst, src]
+        cols += [src, dst]
+        vals += [np.full(src.shape, h[n + 1, n]), np.full(src.shape, h[n, n + 1])]
 
     H = sp.coo_matrix(
         (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import PcaModel, ProcessedDataset, ScatteringEvent, SweepConfig
 from .train import ExperimentReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SerializeError(ValueError):

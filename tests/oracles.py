@@ -464,7 +464,7 @@ def format_config(values: dict) -> str:
         if isinstance(value, tuple):
             rendered = ", ".join(repr(float(v)) for v in value)
         elif value is None:
-            rendered = "median" if key == "threshold" else "auto"
+            rendered = "median"  # threshold is the one key that may be None
         elif isinstance(value, (float, np.floating)):
             rendered = repr(float(value))
         else:

@@ -155,6 +155,15 @@ def test_cli_bad_override_fails_cleanly(tiny_cfg_file, tmp_path, capsys):
     assert "sites" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_fixed_setting_as_an_unknown_key(tiny_cfg_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    code = main(["gen-data", "--config", str(tiny_cfg_file),
+                 "--set", "time_step=0.25", "--out", str(run_dir)])
+    assert code == 1
+    assert "unknown key 'time_step'" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_cli_gen_data_override_changes_grid(tiny_cfg_file, tmp_path):
     run_dir = tmp_path / "run"
     assert main(["gen-data", "--config", str(tiny_cfg_file),
@@ -205,11 +214,11 @@ def test_cli_events_header_without_count_fails_cleanly(tiny_events, tmp_path, ca
 
 
 @pytest.mark.parametrize("key,value,detail", [
-    ("time_step", -1.0, "line 1: time_step must be positive, got -1.0"),
-    ("time_step", "abc", "line 1: could not convert string to float: 'abc'"),
+    ("time_horizon", -1.0, "line 1: time_horizon must be at least time_step (0.5), got -1.0"),
+    ("time_horizon", "abc", "line 1: could not convert string to float: 'abc'"),
     ("count", "1", "line 1: count must be an integer, got '1'"),
     ("count", True, "line 1: count must be an integer, got True"),
-], ids=["time_step=-1.0", "time_step=abc", "count=str", "count=bool"])
+], ids=["time_horizon=-1.0", "time_horizon=abc", "count=str", "count=bool"])
 def test_cli_events_header_with_a_bad_value_fails_cleanly(
     tiny_events, tmp_path, capsys, key, value, detail
 ):
@@ -281,7 +290,7 @@ TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
 def test_known_keys_are_the_config_fields_plus_the_dataset_keys():
     names = {f.name for f in SWEEP_FIELDS + DATASET_FIELDS + TRAIN_FIELDS}
-    assert KNOWN_KEYS == names and len(KNOWN_KEYS) == 21
+    assert KNOWN_KEYS == names and len(KNOWN_KEYS) == 17
 
 
 @pytest.mark.parametrize("field", SWEEP_FIELDS, ids=lambda f: f.name)
@@ -325,9 +334,9 @@ def test_events_header_without_a_config_field_names_the_file(tmp_path):
     path = tmp_path / "events.jsonl"
     save_events(path, desk_sweep_config(), [])
     header = json.loads(path.read_text())
-    del header["config"]["sep_fraction"]
+    del header["config"]["momentum_width"]
     path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(SerializeError, match=f"{path} line 1: missing key 'sep_fraction'"):
+    with pytest.raises(SerializeError, match=f"{path} line 1: missing key 'momentum_width'"):
         load_events(path)
 
 

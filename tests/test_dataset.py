@@ -15,11 +15,11 @@ from scatterqml.dataset import (
     build_dataset,
     central_excess_entropy,
     desk_sweep_config,
-    detect_separation_time,
     fit_pca,
     scale_to_angles,
     angle_bounds,
     run_sweep,
+    separation_row,
 )
 from scatterqml.evolution import EvolutionError, trajectory
 from scatterqml.lattice import (
@@ -50,18 +50,11 @@ def test_sweep_config_validation():
     ("fermion_momenta", (np.nan,)),
     ("antifermion_momenta", (-np.inf,)),
     ("time_horizon", np.nan),
-    ("time_step", np.inf),
     ("momentum_width", np.nan),
-    ("fermion_position", np.inf),
 ])
 def test_sweep_config_rejects_non_finite_values(field, value):
     with pytest.raises(DatasetError, match=f"{field} must be finite"):
         dataclasses.replace(tiny_sweep_config(), **{field: value})
-
-
-def test_sweep_config_rejects_non_positive_time_step():
-    with pytest.raises(DatasetError, match="time_step"):
-        dataclasses.replace(tiny_sweep_config(), time_step=0.0)
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -76,6 +69,16 @@ def test_sweep_config_rejects_an_empty_time_grid_or_packet_width(field, value, m
         dataclasses.replace(tiny_sweep_config(), **{field: value})
     # a horizon of exactly one step still records that step
     assert len(dataclasses.replace(tiny_sweep_config(), time_horizon=0.5).times) == 1
+
+
+@pytest.mark.parametrize("horizon,last", [
+    (0.8, 0.5), (23.9, 23.5), (24.0, 24.0), (16.0, 16.0), (4.0, 4.0),
+])
+def test_time_grid_ends_at_the_last_step_within_the_horizon(horizon, last):
+    times = dataclasses.replace(tiny_sweep_config(), time_horizon=horizon).times
+    assert times[-1] == last
+    assert times.size == round(last / dataset.TIME_STEP)
+    assert np.array_equal(times, dataset.TIME_STEP * np.arange(1, times.size + 1))
 
 
 def test_grid_cardinality_and_order():
@@ -102,33 +105,25 @@ def test_detect_separation_time_synthetic():
         trough = max(int(round(10 - 0.5 * t)), 0)
         image[i, peak] += 1.0
         image[i, trough] -= 1.0
-    t_star = detect_separation_time(image, times, 0.5, N)
+    row = separation_row(image)
     # closed form: extrema meet, then separate beyond 6 sites
     sep = np.abs(np.argmax(image, axis=1) - np.argmin(image, axis=1))
     close = np.flatnonzero(sep <= 6)[0]
     expected = times[np.flatnonzero((sep > 6) & (np.arange(sep.size) > close))[0]]
-    assert t_star == expected
+    assert times[row] == expected
 
 
 def test_detect_separation_time_never_approached():
-    times = np.arange(1.0, 5.0)
     image = np.zeros((4, 12))
     image[:, 0] = 1.0
     image[:, 11] = -1.0  # always far apart, never approached
-    assert detect_separation_time(image, times, 0.5, 12) is None
+    assert separation_row(image) is None
 
 
 def test_central_excess_entropy_and_label():
-    times = np.array([1.0, 2.0])
     traces = np.arange(2 * 11, dtype=float).reshape(2, 11)
-    ev = ScatteringEvent(
-        parameters={}, times=times,
-        density_image=np.zeros((2, 12)), entropy_traces=traces,
-    )
-    # N=12: mean of cut columns 4 and 5 of the requested row
-    assert central_excess_entropy(ev, 2.0) == 0.5 * (traces[1, 4] + traces[1, 5])
-    with pytest.raises(DatasetError):
-        central_excess_entropy(ev, 1.7)
+    # N=12: mean of cut columns 4 and 5 of the row
+    assert central_excess_entropy(traces[1]) == 0.5 * (traces[1, 4] + traces[1, 5])
     assert assign_label(0.9, 0.5) == 1
     assert assign_label(0.5, 0.5) == 0  # threshold itself is class 0
     with pytest.raises(DatasetError):
@@ -146,6 +141,18 @@ def test_sweep_events_structure(tiny_events):
         assert np.abs(ev.density_image.sum(axis=1)).max() < 1e-9
         assert ev.t_star is not None
         assert ev.delta_s_mid is not None
+        assert set(ev.parameters) == {
+            "mass", "coupling", "fermion_momentum", "antifermion_momentum"
+        }
+
+
+def test_sweep_labels_come_from_a_row_of_the_time_grid(tiny_events):
+    times = tiny_sweep_config().times
+    for ev in tiny_events:
+        (row,) = np.flatnonzero(times == ev.t_star)
+        assert row == separation_row(ev.density_image)
+        traces = ev.entropy_traces
+        assert ev.delta_s_mid == 0.5 * (traces[row, 2] + traces[row, 3])  # N=8: cuts 3, 4
 
 
 def test_sweep_deterministic(tiny_events):
@@ -265,7 +272,7 @@ def test_build_dataset_explicit_threshold(tiny_events):
 def test_build_dataset_excludes_failed_events(tiny_events):
     broken = list(tiny_events)
     bad = ScatteringEvent(
-        parameters={}, times=np.array([1.0]),
+        parameters={},
         density_image=np.zeros((1, 8)), entropy_traces=np.zeros((1, 7)),
         error="boom",
     )

@@ -6,6 +6,7 @@ import pytest
 
 from scatterqml.dataset import build_dataset
 from scatterqml.serialize import (
+    SCHEMA_VERSION,
     SerializeError,
     load_dataset,
     load_events,
@@ -105,9 +106,10 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_schema_mismatch_raises(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"schema": 99, "kind": "events", "config": {}, "count": 0}\n')
-    with pytest.raises(SerializeError):
-        load_events(path)
+    for schema in (99, 1):  # 1: events that repeated the time grid in every line
+        path.write_text(f'{{"schema": {schema}, "kind": "events", "config": {{}}, "count": 0}}\n')
+        with pytest.raises(SerializeError, match=f"expected schema {SCHEMA_VERSION}, got {schema}"):
+            load_events(path)
     path2 = tmp_path / "bad.csv"
     path2.write_text("a,b\n1,2\n")
     with pytest.raises(SerializeError):
@@ -123,15 +125,15 @@ def test_wrong_kind_raises(tmp_path):
 
 def test_dataset_and_model_loaders_name_the_file(tmp_path):
     truncated = tmp_path / "dataset.json"
-    truncated.write_text('{"schema": 1, "kind": "dataset", "features": [[0.1, ')
+    truncated.write_text(f'{{"schema": {SCHEMA_VERSION}, "kind": "dataset", "features": [[0.1, ')
     with pytest.raises(SerializeError, match=f"{truncated}: invalid JSON"):
         load_dataset(truncated)
     incomplete = tmp_path / "dataset2.json"
-    incomplete.write_text('{"schema": 1, "kind": "dataset"}\n')
+    incomplete.write_text(f'{{"schema": {SCHEMA_VERSION}, "kind": "dataset"}}\n')
     with pytest.raises(SerializeError, match=f"{incomplete}: missing key 'features'"):
         load_dataset(incomplete)
     model = tmp_path / "model.json"
-    model.write_text('{"schema": 1, "kind": "model", "model": "cnn51"}\n')
+    model.write_text(f'{{"schema": {SCHEMA_VERSION}, "kind": "model", "model": "cnn51"}}\n')
     with pytest.raises(SerializeError, match=f"{model}: missing key 'params'"):
         load_model(model)
     not_object = tmp_path / "model2.json"

@@ -42,6 +42,12 @@ def synthetic_dataset(seed=0, n=200, rule="axis", margin=0.25):
     )
 
 
+def test_the_train_submodule_is_not_shadowed_by_the_function():
+    import scatterqml.train as module
+
+    assert module.TrainConfig is TrainConfig and module.train is train
+
+
 def test_train_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(model="qcnn3-hee")
