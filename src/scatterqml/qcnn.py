@@ -7,12 +7,22 @@ followed by a 9-parameter, 1-CNOT pooling fragment that discards half of the
 active qubits.  After log2(q) layers a single readout qubit remains; the
 model output is its probability of reading |1>.
 
+One layer is stated once, as data: CONV and POOL list its steps on the local
+qubits (1, 0) of a pair, local qubit 1 being the first tensor factor as in
+circuits.apply_unitary.  A rotation step is (sigma~, index, offset): its 4x4
+Hermitian generator sigma~ (a Pauli on one local qubit), the index of its
+parameter within the layer's 24 (None for a fixed rotation) and a fixed
+angle offset.  At angle a = offset + parameter its matrix is
+exp(-i a sigma~ / 2) = cos(a/2) I - i sin(a/2) sigma~, exact since
+sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER = CONV + POOL.
+
 The pool of a layer acts on the same disjoint pairs as its convolution, and
 blocks on different pairs commute, so "every conv, then every pool" equals
-"conv then pool, pair by pair": each layer is simulated as one fused 4x4 block
-applied to each of its pairs (q - 1 blocks for q qubits).  The gradient is an
-adjoint sweep back through those blocks; each layer's 4x4 environment, summed
-over its pairs, gives every parameter derivative (see circuits).
+"conv then pool, pair by pair": each layer is simulated as the product of
+its LAYER steps, one fused 4x4 block applied to each of its pairs (q - 1
+blocks for q qubits).  The gradient is an adjoint sweep back through those
+blocks; each layer's 4x4 environment, summed over its pairs, gives every
+parameter derivative as the table is walked forward (adjoint_gradient).
 """
 
 from __future__ import annotations
@@ -23,12 +33,9 @@ import numpy as np
 
 from . import circuits
 from .circuits import (
-    GENERATORS,
+    CNOT,
     CircuitError,
-    Gate,
-    embed_pair,
     encode,  # unused here; perfbench/spans.py patches the name qcnn.encode
-    fuse_pair,
     pair_environment,
     z_expectation,
 )
@@ -39,50 +46,54 @@ PARAMS_PER_CONV = 15
 PARAMS_PER_POOL = 9
 PARAMS_PER_LAYER = PARAMS_PER_CONV + PARAMS_PER_POOL
 
+_I2 = np.eye(2)
+_I4 = np.eye(4)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]])
+_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+# generators of Ry and Rz on local qubit 1 (first tensor factor) and qubit 0;
+# CNOT (circuits) has control 1 and target 0
+_RY = {1: np.kron(_PAULI_Y, _I2), 0: np.kron(_I2, _PAULI_Y)}
+_RZ = {1: np.kron(_PAULI_Z, _I2), 0: np.kron(_I2, _PAULI_Z)}
+_CNOT_01 = CNOT[[0, 2, 1, 3]][:, [0, 2, 1, 3]]  # control local qubit 0, target 1
 
-def _u3(qubit, base):
-    """General single-qubit rotation Rz-Ry-Rz consuming three parameters."""
-    return [
-        Gate("rz", (qubit,), param=base),
-        Gate("ry", (qubit,), param=base + 1),
-        Gate("rz", (qubit,), param=base + 2),
+
+def _u3(qubit, index):
+    """General single-qubit rotation Rz-Ry-Rz on parameters index..index+2."""
+    return [(_RZ[qubit], index, 0.0), (_RY[qubit], index + 1, 0.0), (_RZ[qubit], index + 2, 0.0)]
+
+
+# Convolution: general rotations around a canonical-class entangler whose
+# fixed +-pi/2 offsets make the whole block the identity (up to a global
+# phase) when all parameters vanish; universal on two qubits.
+CONV = (
+    _u3(1, 0)
+    + _u3(0, 3)
+    + [
+        (_RZ[1], None, HALF_PI),
+        CNOT,
+        (_RZ[0], 6, HALF_PI),
+        (_RY[1], 7, HALF_PI),
+        _CNOT_01,
+        (_RY[1], 8, -HALF_PI),
+        CNOT,
+        (_RZ[0], None, -HALF_PI),
     ]
+    + _u3(1, 9)
+    + _u3(0, 12)
+)
+# Pooling: CNOT from the source, local qubit 1, to the target, qubit 0; the
+# source is never touched again.
+POOL = _u3(1, 15) + _u3(0, 18) + [CNOT] + _u3(0, 21)
+LAYER = CONV + POOL
 
 
-def conv_block_gates(a: int, b: int, base: int) -> list[Gate]:
-    """Two-qubit convolution block: 15 trainable rotations, 3 CNOTs.
-
-    The middle section is a canonical-class entangler whose fixed +-pi/2
-    offsets make the whole block the identity (up to a global phase) when all
-    parameters vanish; the surrounding general rotations make it universal on
-    two qubits.
-    """
-    gates = _u3(a, base) + _u3(b, base + 3)
-    gates += [
-        Gate("rz", (a,), offset=HALF_PI),
-        Gate("cnot", (a, b)),
-        Gate("rz", (b,), param=base + 6, offset=HALF_PI),
-        Gate("ry", (a,), param=base + 7, offset=HALF_PI),
-        Gate("cnot", (b, a)),
-        Gate("ry", (a,), param=base + 8, offset=-HALF_PI),
-        Gate("cnot", (a, b)),
-        Gate("rz", (b,), offset=-HALF_PI),
-    ]
-    gates += _u3(a, base + 9) + _u3(b, base + 12)
-    return gates
-
-
-def pool_block_gates(source: int, target: int, base: int) -> list[Gate]:
-    """Pooling fragment: 9 trainable rotations, 1 CNOT; the source qubit is
-    never touched again afterwards."""
-    if source == target:
-        raise CircuitError("pool source and target must differ")
-    return (
-        _u3(source, base)
-        + _u3(target, base + 3)
-        + [Gate("cnot", (source, target))]
-        + _u3(target, base + 6)
-    )
+def step_matrix(step, layer_params: np.ndarray) -> np.ndarray:
+    """4x4 matrix of one table step at one layer's 24 parameters."""
+    if isinstance(step, np.ndarray):
+        return step
+    generator, index, offset = step
+    angle = offset if index is None else offset + layer_params[index]
+    return np.cos(angle / 2) * _I4 - 1j * np.sin(angle / 2) * generator
 
 
 @dataclass
@@ -120,15 +131,17 @@ class QcnnModel:
 
 
 def _layers(model: QcnnModel):
-    """(gate list on local qubits (1, 0), its fused 4x4 block, qubit pairs) of
-    every layer in circuit order, and the final readout qubit."""
+    """(LAYER step matrices, their fused 4x4 block, qubit pairs) of every
+    layer in circuit order, and the final readout qubit."""
     active = list(range(model.n_qubits))
     layers = []
-    for layer in range(model.n_layers):
-        base = layer * PARAMS_PER_LAYER
-        gates = conv_block_gates(1, 0, base) + pool_block_gates(1, 0, base + PARAMS_PER_CONV)
+    for layer_params in model.params.reshape(model.n_layers, PARAMS_PER_LAYER):
+        steps = [step_matrix(step, layer_params) for step in LAYER]
+        U = np.eye(4, dtype=complex)
+        for G in steps:
+            U = G @ U
         pairs = [(active[i], active[i + 1]) for i in range(0, len(active), 2)]
-        layers.append((gates, fuse_pair(gates, model.params), pairs))
+        layers.append((steps, U, pairs))
         active = [b for _, b in pairs]
     if len(active) != 1:
         raise CircuitError("active set did not reduce to a single qubit")
@@ -166,22 +179,21 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
     each block application, psi before it and lam after it are contracted
     over the batch and every other qubit into a 4x4 environment; a layer's
     environments add up to E over its pairs, since the pairs share the block
-    U.  Walking forward through the layer's gates from W = E^T U with
-    W <- G W G^dagger, each rotation exp(-i theta sigma / 2) adds
+    U.  Walking forward through the layer's LAYER steps from W = E^T U with
+    W <- G W G^dagger, each rotation exp(-i theta sigma~ / 2) adds
     Im tr(sigma~ W) to its parameter.  Agreement with the parameter-shift
     reference to 1e-8 is asserted in the tests.
     """
     states = np.atleast_2d(states)
     labels = np.asarray(labels, dtype=float)
-    params = model.params
     layers, readout = _layers(model)
 
     psi = _run(layers, states)
     outer = 2.0 * (_probability(psi, readout) - labels) / labels.size
     projector = (np.arange(psi.shape[1]) >> readout) & 1  # P1 on the readout qubit
     lam = (outer[:, None] * projector) * psi
-    grad = np.zeros_like(params)
-    for gates, U, pairs in reversed(layers):
+    grad = np.zeros((model.n_layers, PARAMS_PER_LAYER))
+    for layer_grad, (steps, U, pairs) in zip(grad[::-1], reversed(layers)):
         Uh = U.conj().T
         env = np.zeros((4, 4), complex)
         for pair in reversed(pairs):
@@ -189,10 +201,10 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
             env += pair_environment(lam, psi, pair)  # lam after the block, psi before it
             lam = circuits.apply_unitary(lam, Uh, pair)
         W = env.T @ U
-        for g in gates:
-            G = embed_pair(g, g.matrix(params))
+        for step, G in zip(LAYER, steps):
             W = G @ W @ G.conj().T
-            if g.param is not None:
+            if isinstance(step, tuple) and step[1] is not None:
+                generator, index, _ = step
                 # tr(sigma~ W) = vdot(sigma~, W) as sigma~ is Hermitian
-                grad[g.param] += np.vdot(embed_pair(g, GENERATORS[g.kind]), W).imag
-    return grad
+                layer_grad[index] += np.vdot(generator, W).imag
+    return grad.ravel()

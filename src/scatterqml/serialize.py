@@ -82,21 +82,43 @@ def _load_record(path, kind):
     return record
 
 
-# How a field is rebuilt from its JSON value, by its annotation string; a
-# field whose annotation is not listed (dicts, optional scalars) is taken as is.
+def _decode_int(key, value):
+    """A JSON integer; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _decode_float(key, value):
+    """A JSON integer or float, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _decode_tuple(key, value):
+    """A JSON list of numbers, as a tuple of floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_decode_float(key, v) for v in value)
+
+
+# How a field is rebuilt from its JSON value and its name, by its annotation
+# string; a field whose annotation is not listed (dicts, optional scalars) is
+# taken as is.
 _FIELD_DECODERS = {
-    "tuple": tuple,
-    "int": int,
-    "float": float,
-    "np.ndarray": np.array,
-    "PcaModel": lambda v: _from_record(PcaModel, v),
+    "tuple": _decode_tuple,
+    "int": _decode_int,
+    "float": _decode_float,
+    "np.ndarray": lambda key, v: np.array(v),
+    "PcaModel": lambda key, v: _from_record(PcaModel, v),
 }
 
 
 def _from_record(cls, record):
     """Dataclass `cls` rebuilt from its `dataclasses.asdict` JSON record."""
     return cls(**{
-        f.name: _FIELD_DECODERS.get(f.type, lambda v: v)(record[f.name])
+        f.name: _FIELD_DECODERS.get(f.type, lambda key, v: v)(f.name, record[f.name])
         for f in dataclasses.fields(cls)
     })
 
@@ -126,9 +148,7 @@ def load_events(path):
     _check_schema(header, "events", where)
     with _fields(where):
         config = _from_record(SweepConfig, header["config"])
-        count = header["count"]
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise SerializeError(f"{where}: count must be an integer, got {count!r}")
+        count = _decode_int("count", header["count"])
     events = []
     for lineno, line in enumerate(lines[1:], 2):
         where = f"{path} line {lineno}"

@@ -10,25 +10,23 @@ Schmidt blocks as the reference for the package's Gram eigenvalues batched
 over states.  The package works on particle-number sectors; ``embed`` places a
 sector state into the full space (at the basis states the package's
 ``Sector`` lists) so that it can be compared with these references.  The
-circuit references simulate one gate at a time, ``format_config`` renders a
-config mapping back to file text for the round-trip tests, and
-``load_model`` reads back the checkpoints the CLI writes.
+circuit references own their gates: ``Gate``, the rotations ``rx``/``ry``/
+``rz`` and the gate lists of the encodings and of the QCNN blocks
+(``conv_block_gates``/``pool_block_gates``) are stated here, independently of
+the package's layer table (``qcnn.LAYER``) that they check, and simulated one
+gate at a time; ``format_config`` renders a config mapping back to file text
+for the round-trip tests, and ``load_model`` reads back the checkpoints the
+CLI writes.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
-from scatterqml.circuits import CircuitError, Gate, apply_unitary, z_expectation
+from scatterqml.circuits import CNOT, CircuitError, apply_unitary, z_expectation
 from scatterqml.observables import ObservableError, entanglement_entropy
-from scatterqml.qcnn import (
-    PARAMS_PER_CONV,
-    PARAMS_PER_LAYER,
-    PARAMS_PER_POOL,
-    conv_block_gates,
-    pool_block_gates,
-)
+from scatterqml.qcnn import PARAMS_PER_CONV, PARAMS_PER_LAYER, PARAMS_PER_POOL
 from scatterqml.serialize import _fields, _load_record
 
 I2 = np.eye(2)
@@ -285,11 +283,88 @@ def finite_difference_gradient(fn, params: np.ndarray, step: float) -> np.ndarra
 
 # --- gate-by-gate circuit references ---
 #
-# These build the encoding and QCNN gate programs here (conv and pool stages
-# unfused) and run them one Gate at a time through the package's Gate matrices
-# and apply_unitary (both checked against truth tables in test_circuits), so
-# they are independent of the fused layer blocks, the environment-matrix
-# gradient and the batched encoding they are compared with.
+# These state the encoding and QCNN gate programs here, one Gate per rotation
+# or CNOT (conv and pool stages unfused), and run them one Gate at a time
+# through apply_unitary (checked against truth tables in test_circuits), so
+# they are independent of the layer table, the fused layer blocks, the
+# environment-matrix gradient and the batched encoding they are compared with.
+
+
+def rx(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], complex)
+
+
+def rz(theta):
+    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
+
+
+ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One circuit element.
+
+    kind is a rotation name or "cnot" (control = first of qubits); param
+    points at a trainable parameter (None for fixed gates); the applied angle
+    is param value + offset.
+    """
+
+    kind: str
+    qubits: tuple
+    param: int | None = None
+    offset: float = 0.0
+
+    def matrix(self, params):
+        if self.kind == "cnot":
+            return CNOT
+        angle = self.offset
+        if self.param is not None:
+            angle += params[self.param]
+        return ROTATIONS[self.kind](angle)
+
+
+def _u3(qubit, base):
+    """General single-qubit rotation Rz-Ry-Rz consuming three parameters."""
+    return [
+        Gate("rz", (qubit,), param=base),
+        Gate("ry", (qubit,), param=base + 1),
+        Gate("rz", (qubit,), param=base + 2),
+    ]
+
+
+def conv_block_gates(a: int, b: int, base: int) -> list[Gate]:
+    """Two-qubit convolution block: 15 trainable rotations, 3 CNOTs, the
+    identity (up to a global phase) at zero parameters."""
+    gates = _u3(a, base) + _u3(b, base + 3)
+    gates += [
+        Gate("rz", (a,), offset=np.pi / 2),
+        Gate("cnot", (a, b)),
+        Gate("rz", (b,), param=base + 6, offset=np.pi / 2),
+        Gate("ry", (a,), param=base + 7, offset=np.pi / 2),
+        Gate("cnot", (b, a)),
+        Gate("ry", (a,), param=base + 8, offset=-np.pi / 2),
+        Gate("cnot", (a, b)),
+        Gate("rz", (b,), offset=-np.pi / 2),
+    ]
+    return gates + _u3(a, base + 9) + _u3(b, base + 12)
+
+
+def pool_block_gates(source: int, target: int, base: int) -> list[Gate]:
+    """Pooling fragment: 9 trainable rotations, 1 CNOT; the source qubit is
+    never touched again afterwards."""
+    return (
+        _u3(source, base)
+        + _u3(target, base + 3)
+        + [Gate("cnot", (source, target))]
+        + _u3(target, base + 6)
+    )
 
 
 def zero_state(n_qubits, batch=1):
@@ -304,6 +379,21 @@ def count_cnots(gates):
 
 def count_parameters(gates):
     return len({g.param for g in gates if g.param is not None})
+
+
+def table_parameters(steps):
+    """Parameter indices of a qcnn layer table's rotation steps, in order."""
+    return [step[1] for step in steps if isinstance(step, tuple) and step[1] is not None]
+
+
+def table_cnots(steps):
+    """Steps of a qcnn layer table that are a CNOT in either orientation."""
+    swap = [0, 2, 1, 3]
+    return sum(
+        1 for step in steps
+        if isinstance(step, np.ndarray)
+        and (np.array_equal(step, CNOT) or np.array_equal(step, CNOT[swap][:, swap]))
+    )
 
 
 def run_program(gates, state, params, shift_at=None, shift=0.0):

@@ -33,13 +33,7 @@ from scatterqml.lattice import (
     prepare_scattering_state,
 )
 from scatterqml.observables import entanglement_entropy, site_densities
-from scatterqml.qcnn import (
-    QcnnModel,
-    adjoint_gradient,
-    conv_block_gates,
-    pool_block_gates,
-    qcnn_forward,
-)
+from scatterqml.qcnn import CONV, POOL, QcnnModel, adjoint_gradient, qcnn_forward
 from scatterqml.serialize import save_dataset, save_events, write_report_csv
 from scatterqml.train import TrainConfig, run_experiment
 
@@ -63,6 +57,8 @@ from oracles import (
     ff_vacuum_projector,
     finite_difference_gradient,
     parameter_shift_gradient,
+    table_cnots,
+    table_parameters,
 )
 
 
@@ -260,10 +256,8 @@ def test_criterion_6_structural_contracts():
         gates, _ = build_program(model)
         ok = ok and model.n_parameters == count
         ok = ok and count_parameters(gates) == count
-    conv = conv_block_gates(0, 1, 0)
-    pool = pool_block_gates(1, 0, 0)
-    ok = ok and count_parameters(conv) == 15 and count_cnots(conv) == 3
-    ok = ok and count_parameters(pool) == 9 and count_cnots(pool) == 1
+    ok = ok and len(set(table_parameters(CONV))) == 15 and table_cnots(CONV) == 3
+    ok = ok and len(set(table_parameters(POOL))) == 9 and table_cnots(POOL) == 1
     ok = ok and cnn51().n_parameters == 51 and cnn113().n_parameters == 113
     ok = ok and count_cnots(encoding_program(8, "tpe")) == 0
     _verdict(6, "parameter counts 48/72/96, 15+3 / 9+1 blocks, CNN 51/113, TPE", ok)

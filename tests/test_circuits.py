@@ -7,13 +7,19 @@ from scatterqml.circuits import (
     apply_unitary,
     encode,
     pair_environment,
-    rx,
-    ry,
-    rz,
     z_expectation,
 )
 
-from oracles import count_cnots, count_parameters, encoding_program, gate_encode, zero_state
+from oracles import (
+    count_cnots,
+    count_parameters,
+    encoding_program,
+    gate_encode,
+    rx,
+    ry,
+    rz,
+    zero_state,
+)
 
 
 def test_rotations_are_unitary_and_periodic(rng):
@@ -87,6 +93,7 @@ def test_encoding_structure():
 
 def test_hee_zero_angles_is_all_zeros_state():
     out = encode(np.zeros((1, 4)), 4, "hee")
+    assert out.dtype == np.float64  # Ry layers and CNOT permutations are real
     expect = np.zeros(16)
     expect[0] = 1.0
     assert np.abs(out[0] - expect).max() < 1e-14

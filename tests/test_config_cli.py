@@ -215,10 +215,16 @@ def test_cli_events_header_without_count_fails_cleanly(tiny_events, tmp_path, ca
 
 @pytest.mark.parametrize("key,value,detail", [
     ("time_horizon", -1.0, "line 1: time_horizon must be at least time_step (0.5), got -1.0"),
-    ("time_horizon", "abc", "line 1: could not convert string to float: 'abc'"),
+    ("time_horizon", "abc", "line 1: time_horizon must be a number, got 'abc'"),
     ("count", "1", "line 1: count must be an integer, got '1'"),
     ("count", True, "line 1: count must be an integer, got True"),
-], ids=["time_horizon=-1.0", "time_horizon=abc", "count=str", "count=bool"])
+    ("sites", 8.9, "line 1: sites must be an integer, got 8.9"),
+    ("sites", "8", "line 1: sites must be an integer, got '8'"),
+    ("time_horizon", "16", "line 1: time_horizon must be a number, got '16'"),
+    ("momentum_width", True, "line 1: momentum_width must be a number, got True"),
+    ("masses", [True, 0.5, 0.8], "line 1: masses must be a number, got True"),
+], ids=["time_horizon=-1.0", "time_horizon=abc", "count=str", "count=bool", "sites=float",
+        "sites=str", "time_horizon=str", "momentum_width=bool", "masses=bool"])
 def test_cli_events_header_with_a_bad_value_fails_cleanly(
     tiny_events, tmp_path, capsys, key, value, detail
 ):

@@ -1,8 +1,6 @@
 import numpy as np
 
-from scatterqml.circuits import Gate, ry
-
-from oracles import run_program, zero_state
+from oracles import Gate, run_program, ry, zero_state
 
 
 def test_run_program_shift_single_occurrence(rng):

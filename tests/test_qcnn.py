@@ -4,25 +4,32 @@ import pytest
 from scatterqml import circuits
 from scatterqml.circuits import CircuitError, encode
 from scatterqml.qcnn import (
+    CONV,
+    LAYER,
     PARAMS_PER_CONV,
+    PARAMS_PER_LAYER,
     PARAMS_PER_POOL,
+    POOL,
     QcnnModel,
     adjoint_gradient,
-    conv_block_gates,
-    pool_block_gates,
     qcnn_forward,
+    step_matrix,
 )
 
 from oracles import (
     build_program,
     conv_block,
-    count_cnots,
+    conv_block_gates,
     count_parameters,
     finite_difference_gradient,
     gate_adjoint_gradient,
     gate_forward,
+    pair_unitary,
     parameter_shift_gradient,
     pool_block,
+    pool_block_gates,
+    table_cnots,
+    table_parameters,
 )
 
 
@@ -34,18 +41,31 @@ def _mse(width, encoding, states, labels):
     return loss
 
 
+def _fuse(steps, layer_params):
+    U = np.eye(4, dtype=complex)
+    for step in steps:
+        U = step_matrix(step, layer_params) @ U
+    return U
+
+
 def test_conv_block_structure():
-    gates = conv_block_gates(0, 1, 0)
-    assert count_parameters(gates) == PARAMS_PER_CONV == 15
-    assert count_cnots(gates) == 3
+    assert len(set(table_parameters(CONV))) == PARAMS_PER_CONV == 15
+    assert table_cnots(CONV) == 3
 
 
 def test_pool_block_structure():
-    gates = pool_block_gates(1, 0, 0)
-    assert count_parameters(gates) == PARAMS_PER_POOL == 9
-    assert count_cnots(gates) == 1
-    with pytest.raises(CircuitError):
-        pool_block_gates(1, 1, 0)
+    assert len(set(table_parameters(POOL))) == PARAMS_PER_POOL == 9
+    assert table_cnots(POOL) == 1
+
+
+def test_layer_table_matches_the_oracle_gate_lists(rng):
+    assert sorted(table_parameters(LAYER)) == list(range(PARAMS_PER_LAYER))
+    theta = rng.uniform(-np.pi, np.pi, PARAMS_PER_LAYER)
+    gates = conv_block_gates(1, 0, 0) + pool_block_gates(1, 0, PARAMS_PER_CONV)
+    assert np.abs(_fuse(LAYER, theta) - pair_unitary(gates, theta)).max() < 1e-14
+    U = _fuse(CONV, np.zeros(PARAMS_PER_LAYER))  # identity up to a global phase
+    assert abs(abs(U[0, 0]) - 1.0) < 1e-14
+    assert np.abs(U / U[0, 0] - np.eye(4)).max() < 1e-14
 
 
 def test_conv_block_identity_at_zero():
