@@ -8,12 +8,17 @@ angle-scaled train/test splits.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from .evolution import EvolutionError, trajectory
 from .lattice import (
@@ -39,14 +44,69 @@ TIME_STEP = 0.5  # spacing of the recorded times
 SEPARATION_FRACTION = 0.5
 
 
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with
+    the numpy and scipy wheels; a copy that is not found is left out."""
+    controls = []
+    for package, library, suffix in (
+        (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+        (scipy, "scipy.libs/libscipy_openblas*.so", ""),
+    ):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in sorted(glob.glob(os.path.join(site, library))):
+            try:
+                lib = ctypes.CDLL(path)
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue  # another BLAS build: leave it as it is
+            controls.append((get_threads, set_threads))
+    return tuple(controls)
+
+
+def _set_blas_threads(counts) -> None:
+    """Give each bundled OpenBLAS copy its thread count from `counts`.
+
+    A copy that already has its count is left alone: any set call starts the
+    copy's threads afresh, and in a forked pool worker those threads spin
+    beside the task.
+    """
+    for (get_threads, set_threads), count in zip(_blas_thread_controls(), counts):
+        if get_threads() != count:
+            set_threads(count)
+
+
+def _pin_blas() -> None:
+    """Set every bundled OpenBLAS copy to one thread."""
+    _set_blas_threads(itertools.repeat(1))
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with one BLAS thread, then restore each copy's count."""
+    saved = [get_threads() for get_threads, _ in _blas_thread_controls()]
+    _pin_blas()
+    try:
+        yield
+    finally:
+        _set_blas_threads(saved)
+
+
 def ordered_map(fn, tasks, workers: int | None = None) -> list:
     """[fn(t) for t in tasks], in a process pool of `workers` (default: the
-    available parallelism) when that is more than one and so are the tasks."""
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    available parallelism, at most one per task) when that is more than one.
+
+    BLAS runs single-threaded in the caller and in every pool worker: a
+    pool's processes already use the cores, and a pinned thread count makes
+    the results independent of both `workers` and OPENBLAS_NUM_THREADS.
+    """
+    n_workers = min(workers if workers is not None else (os.cpu_count() or 1), len(tasks))
+    with single_threaded_blas():
+        if n_workers > 1:
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
+                return list(pool.map(fn, tasks))
+        return [fn(t) for t in tasks]
 
 
 class DatasetError(ValueError):

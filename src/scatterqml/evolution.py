@@ -6,8 +6,9 @@ time step converges in a few tens of iterations, before finite-precision
 Lanczos loses orthogonality in a way that matters for exp(-i H dt) psi, and
 the norm of the assembled result, which a non-orthonormal basis would spoil,
 is checked against the step tolerance.  Reorthogonalising would cost two
-m x dim BLAS products per iteration, and multi-threaded BLAS calls slow the
-whole process down on small sector vectors.
+m x dim BLAS products per iteration.  Sweeps call the propagator with BLAS
+pinned to one thread (dataset.ordered_map), so their results do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def krylov_expm(
         basis[m] = w / beta
     else:
         raise EvolutionError(f"Krylov dimension {max_dim} insufficient for tol {tol:.0e}")
-    # an einsum, not `small @ basis`, so no multi-threaded BLAS call is made
+    # an einsum, not `small @ basis`: with BLAS pinned to one thread either
+    # is serial, and the einsum keeps every event's bytes where they are
     out = np.einsum("i,ij->j", small, basis[:m])
     norm_out = np.linalg.norm(out)
     if abs(norm_out - 1.0) > tol:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,122 @@ def test_pooled_sweep_writes_the_same_bytes_as_serial(tiny_events, tmp_path):
     save_events(pooled, tiny_sweep_config(), tiny_events)  # the fixture ran 4 workers
     save_events(serial, tiny_sweep_config(), run_sweep(tiny_sweep_config(), workers=1))
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+# one N=12 sweep in a fresh interpreter, written to argv[1]; its masses are
+# argv[2] (comma-separated) and its pool has argv[3] workers
+_SWEEP_SCRIPT = """
+import sys
+from scatterqml.dataset import SweepConfig, run_sweep
+from scatterqml.serialize import save_events
+config = SweepConfig(masses=tuple(map(float, sys.argv[2].split(","))), couplings=(0.7,),
+                     fermion_momenta=(0.9,), antifermion_momenta=(-0.9,), sites=12)
+save_events(sys.argv[1], config, run_sweep(config, workers=int(sys.argv[3])))
+"""
+
+
+def _sweep_bytes(path, masses, workers, blas_threads):
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS=blas_threads,
+    )
+    args = [str(path), ",".join(map(str, masses)), str(workers)]
+    result = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT, *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "masses,workers", [((0.25,), 1), ((0.25, 0.6), 2)], ids=["one-lattice", "two-lattices-pooled"]
+)
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, masses, workers):
+    """N=12 events, unlike the N=8 TINY ones, change in their last bits when
+    BLAS runs on two threads; the sweep pins it to one, so a serial run with
+    one thread and a run on `workers` with two write the same bytes."""
+    one = _sweep_bytes(tmp_path / "one.jsonl", masses, workers=1, blas_threads="1")
+    two = _sweep_bytes(tmp_path / "two.jsonl", masses, workers=workers, blas_threads="2")
+    assert one == two
+
+
+def _blas_thread_counts(_task=None):
+    return [get_threads() for get_threads, _ in dataset._blas_thread_controls()]
+
+
+def _failing_task(_task):
+    raise ValueError("task failed")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Each bundled OpenBLAS copy on two threads for the test, then as before."""
+    controls = dataset._blas_thread_controls()
+    assert controls, "no OpenBLAS thread control found: the pin would do nothing"
+    saved = _blas_thread_counts()
+    for _, set_threads in controls:
+        set_threads(2)
+    yield _blas_thread_counts()
+    for (_, set_threads), count in zip(controls, saved):
+        set_threads(count)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_runs_tasks_on_one_blas_thread_and_restores_the_count(
+    two_blas_threads, workers
+):
+    assert two_blas_threads == [2] * len(two_blas_threads)
+    one_thread = [1] * len(two_blas_threads)
+    assert dataset.ordered_map(_blas_thread_counts, [0, 1], workers) == [one_thread] * 2
+    assert _blas_thread_counts() == two_blas_threads
+    with pytest.raises(ValueError, match="task failed"):
+        dataset.ordered_map(_failing_task, [0, 1], workers)
+    assert _blas_thread_counts() == two_blas_threads
+
+
+def _process_threads(_task):
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_pool_workers_start_no_blas_threads(two_blas_threads):
+    """A forked worker inherits the pin; setting it again would start each
+    copy's threads, which spin beside the task."""
+    assert dataset.ordered_map(_process_threads, [0, 1], 2) == [1, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_without_blas_controls_still_maps(monkeypatch, workers):
+    monkeypatch.setattr(dataset, "_blas_thread_controls", lambda: ())
+    assert dataset.ordered_map(abs, [-1, -2, 3], workers) == [1, 2, 3]
+
+
+def test_ordered_map_opens_at_most_one_worker_per_task(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            opened.append((max_workers, initializer))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dataset.os, "cpu_count", lambda: 64)
+    assert dataset.ordered_map(abs, [-1, -2], 64) == [1, 2]
+    assert dataset.ordered_map(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert dataset.ordered_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert dataset.ordered_map(abs, [-1], 64) == [1]  # one task: no pool
+    assert opened == [(2, dataset._pin_blas), (3, dataset._pin_blas), (2, dataset._pin_blas)]
 
 
 def test_time_chunks_match_per_time_observables():
