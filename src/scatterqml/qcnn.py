@@ -18,11 +18,34 @@ sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER = CONV + POOL.
 
 The pool of a layer acts on the same disjoint pairs as its convolution, and
 blocks on different pairs commute, so "every conv, then every pool" equals
-"conv then pool, pair by pair": each layer is simulated as the product of
-its LAYER steps, one fused 4x4 block applied to each of its pairs (q - 1
-blocks for q qubits).  The gradient is an adjoint sweep back through those
-blocks; each layer's 4x4 environment, summed over its pairs, gives every
-parameter derivative as the table is walked forward (adjoint_gradient).
+"conv then pool, pair by pair": each layer is the product U of its LAYER
+steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  Both
+evaluations below reduce a layer to its 4x4 environment, summed over its
+pairs, and read every parameter derivative from it by walking the LAYER
+steps forward (_layer_gradient).
+
+qcnn_forward and adjoint_gradient take either form of encoded batch
+(circuits):
+
+* (batch, 2**n) statevectors: each block is applied to the whole state and
+  the gradient is an adjoint sweep back through the blocks.
+* (batch, n, chi, 2, chi) site tensors: a pooled qubit is never touched
+  again, so the circuit is a tree over contiguous segments of sites (Grant
+  et al., npj Quantum Inf. 4, 65, 2018).  A segment carries one active
+  qubit and traces out the rest: S[(l l'), x, x', (r r')], its ket and bra
+  bonds to the left and right neighbours around the active qubit's density
+  matrix, stored (batch, s, chi^2, 2, 2, chi^2).  With the bond pairs
+  outermost, a layer merges segments 2j and 2j+1 by one batched matmul over
+  their shared bond pair with no transposed copy (the first layer takes its
+  products straight from pairs of sites), then applies U . U^dagger and the
+  trace over the pooled qubit as one 4x16 matrix K.
+  The root's boundary entry is the readout qubit's density matrix.  The
+  gradient runs the same layers in reverse.  The cost per sample is
+  O(n chi^6) rather than O(n 2^n).
+
+train.QcnnClassifier picks the form: site tensors where chi^6 < 2^n (TPE at
+every width, HEE at 16 qubits), statevectors for HEE at 4 and 8 qubits,
+where the tree is slower.
 """
 
 from __future__ import annotations
@@ -162,37 +185,140 @@ def _probability(states: np.ndarray, readout: int) -> np.ndarray:
     return 0.5 * (1.0 - z_expectation(states, readout))
 
 
-def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
-    """Class-1 probability p = (1 - <Z>)/2 for a batch of encoded states."""
-    states = np.atleast_2d(states)
-    if states.shape[1] != 1 << model.n_qubits:
+def _fold(U: np.ndarray) -> np.ndarray:
+    """U rho U^dagger followed by the trace over the pooled qubit a, as one
+    4x16 matrix K[(b b'), (p p' q q')] = sum_a U[(a b), (p q)] conj U[(a b'), (p' q')]."""
+    U4 = U.reshape(2, 2, 2, 2)
+    return np.einsum("abpq,acrs->bcprqs", U4, U4.conj()).reshape(4, 16)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b where a or b may be real: the real factor is multiplied by the
+    complex one's real and imaginary parts and never copied to complex."""
+    if np.iscomplexobj(a) and not np.iscomplexobj(b):
+        rows = a.shape[-2]
+        stacked = np.concatenate([a.real, a.imag], axis=-2) @ b
+        return stacked[..., :rows, :] + 1j * stacked[..., rows:, :]
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        return a @ b.real + 1j * (a @ b.imag)
+    return a @ b
+
+
+def _halves(segments: np.ndarray):
+    """Left and right segments of every merge as matrices over their shared
+    bond pair M: left [(L p p'), M] and right [M, (q q' R)] (views)."""
+    batch, s, bond = segments.shape[:3]
+    left = segments[:, 0::2].reshape(batch, s // 2, 4 * bond, bond)
+    right = segments[:, 1::2].reshape(batch, s // 2, bond, 4 * bond)
+    return left, right
+
+
+def _merge(segments: np.ndarray) -> np.ndarray:
+    """T[L, (p p' q q'), R] = sum_M S_left[L, p, p', M] S_right[M, q, q', R] for
+    every adjacent pair of segments: (batch, s/2, L, 16, R)."""
+    left, right = _halves(segments)
+    bond = right.shape[2]
+    return (left @ right).reshape(left.shape[:2] + (bond, 16, bond))
+
+
+def _merge_sites(sites: np.ndarray) -> np.ndarray:
+    """The first layer's T straight from the site pairs, real: with the
+    two-site tensor X[l, p, q, r] = sum_m A[l, p, m] A'[m, q, r],
+    T[(l l'), (p p' q q'), (r r')] = X[l, p, q, r] X[l', p', q', r']."""
+    batch, n, chi = sites.shape[:3]
+    X = sites[:, 0::2].reshape(batch, n // 2, 2 * chi, chi) @ sites[:, 1::2].reshape(
+        batch, n // 2, chi, 2 * chi
+    )
+    X = X.reshape(batch, n // 2, chi, 2, 2, chi)
+    ket = X[:, :, :, None, :, None, :, None, :, None]
+    bra = X[:, :, None, :, None, :, None, :, None, :]
+    return (ket * bra).reshape(batch, n // 2, chi * chi, 16, chi * chi)
+
+
+# |1><1| of the readout qubit in the root segment, at the boundary bonds
+_READOUT = (slice(None), 0, 0, 1, 1, 0)
+
+
+def _tree(layers, sites: np.ndarray):
+    """Yield, layer by layer, the merged T (one batched contraction per
+    layer) and the segments leaving the layer, (batch, s, L, 2, 2, R).  The
+    last layer leaves the root, whose _READOUT entry is p."""
+    batch, _, chi = sites.shape[:3]
+    segments = None
+    for depth, (_, U, _) in enumerate(layers):
+        T = _merge(segments) if depth else _merge_sites(sites)
+        segments = _mul(_fold(U), T).reshape(batch, -1, chi * chi, 2, 2, chi * chi)
+        yield T, segments
+
+
+def _layer_gradient(steps, U: np.ndarray, env: np.ndarray, layer_grad: np.ndarray) -> None:
+    """Add a layer's parameter derivatives to layer_grad from its environment
+    env[i, j] (i the block's output index, j its input index), where the loss
+    changes by 2 Re sum(dU * env).  Walking forward through the LAYER steps
+    from W = env^T U with W <- G W G^dagger, each rotation exp(-i theta sigma~ / 2)
+    adds Im tr(sigma~ W) to its parameter."""
+    W = env.T @ U
+    for step, G in zip(LAYER, steps):
+        W = G @ W @ G.conj().T
+        if isinstance(step, tuple) and step[1] is not None:
+            generator, index, _ = step
+            # tr(sigma~ W) = vdot(sigma~, W) as sigma~ is Hermitian
+            layer_grad[index] += np.vdot(generator, W).imag
+
+
+def _check_width(model: QcnnModel, states: np.ndarray) -> None:
+    expected = model.n_qubits if states.ndim == 5 else 1 << model.n_qubits
+    if states.ndim not in (2, 5) or states.shape[1] != expected:
         raise CircuitError("state dimension does not match the model width")
+
+
+def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
+    """Class-1 probability p = (1 - <Z>)/2 for a batch of encoded states:
+    (batch, 2**n) statevectors or (batch, n, chi, 2, chi) site tensors."""
+    states = np.atleast_2d(states)
+    _check_width(model, states)
     layers, readout = _layers(model)
-    return _probability(_run(layers, states), readout)
+    if states.ndim == 2:
+        return _probability(_run(layers, states), readout)
+    for _, root in _tree(layers, states):
+        pass
+    return root[_READOUT].real
 
 
 def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Reverse-pass gradient of the mean squared error, layer by layer.
 
-    lam = (dL/dp) P1 |psi> starts at the readout projector P1 and is carried
-    back through the blocks with psi (Jones & Gacon, arXiv:2009.02823).  At
-    each block application, psi before it and lam after it are contracted
-    over the batch and every other qubit into a 4x4 environment; a layer's
-    environments add up to E over its pairs, since the pairs share the block
-    U.  Walking forward through the layer's LAYER steps from W = E^T U with
-    W <- G W G^dagger, each rotation exp(-i theta sigma~ / 2) adds
-    Im tr(sigma~ W) to its parameter.  Agreement with the parameter-shift
+    Each layer's 4x4 environment, summed over its pairs, gives its parameter
+    derivatives (_layer_gradient).  Agreement with the parameter-shift
     reference to 1e-8 is asserted in the tests.
+
+    Statevectors: lam = (dL/dp) P1 |psi> starts at the readout projector P1
+    and is carried back through the blocks with psi (Jones & Gacon,
+    arXiv:2009.02823).  At each block application, psi before it and lam
+    after it are contracted over the batch and every other qubit into the
+    block's environment.
+
+    Site tensors: the adjoint Lam of a layer's output segments, with
+    dL = sum(Lam * d segments), starts as dL/dp on the root's _READOUT entry.
+    With H[(p p' q q'), (b b')] = sum of T[L, (p p' q q'), R] Lam[L, (b b'), R]
+    over the bonds and every merge of the batch, a layer's environment is
+    env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')];
+    Lam is carried back through K and the merge products to the segments
+    entering the layer.
     """
     states = np.atleast_2d(states)
+    _check_width(model, states)
     labels = np.asarray(labels, dtype=float)
     layers, readout = _layers(model)
+    grad = np.zeros((model.n_layers, PARAMS_PER_LAYER))
+    if states.ndim == 5:
+        _tree_gradient(layers, states, labels, grad)
+        return grad.ravel()
 
     psi = _run(layers, states)
     outer = 2.0 * (_probability(psi, readout) - labels) / labels.size
     projector = (np.arange(psi.shape[1]) >> readout) & 1  # P1 on the readout qubit
     lam = (outer[:, None] * projector) * psi
-    grad = np.zeros((model.n_layers, PARAMS_PER_LAYER))
     for layer_grad, (steps, U, pairs) in zip(grad[::-1], reversed(layers)):
         Uh = U.conj().T
         env = np.zeros((4, 4), complex)
@@ -200,11 +326,29 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
             psi = circuits.apply_unitary(psi, Uh, pair)
             env += pair_environment(lam, psi, pair)  # lam after the block, psi before it
             lam = circuits.apply_unitary(lam, Uh, pair)
-        W = env.T @ U
-        for step, G in zip(LAYER, steps):
-            W = G @ W @ G.conj().T
-            if isinstance(step, tuple) and step[1] is not None:
-                generator, index, _ = step
-                # tr(sigma~ W) = vdot(sigma~, W) as sigma~ is Hermitian
-                layer_grad[index] += np.vdot(generator, W).imag
+        _layer_gradient(steps, U, env, layer_grad)
     return grad.ravel()
+
+
+def _tree_gradient(layers, sites: np.ndarray, labels: np.ndarray, grad: np.ndarray) -> None:
+    merged, segments = zip(*_tree(layers, sites))
+    lam = np.zeros(segments[-1].shape)
+    lam[_READOUT] = 2.0 * (segments[-1][_READOUT].real - labels) / labels.size
+    for depth in reversed(range(len(layers))):
+        steps, U, _ = layers[depth]
+        T = merged[depth]
+        bond = T.shape[-1]
+        lam = lam.reshape(T.shape[:3] + (4, bond))  # [L, (b b'), R]
+        # H[(p p' q q'), (b b')]
+        H = _mul(T.reshape(-1, 16, bond), lam.reshape(-1, 4, bond).swapaxes(1, 2)).sum(axis=0)
+        U4 = U.reshape(2, 2, 2, 2)
+        env = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
+        _layer_gradient(steps, U, env, grad[depth])
+        if depth == 0:
+            break
+        entering = segments[depth - 1]
+        left, right = _halves(entering)
+        lam_T = (_fold(U).T @ lam).reshape(left.shape[:2] + (4 * bond, 4 * bond))
+        lam = np.empty_like(entering)
+        lam[:, 0::2] = (lam_T @ right.swapaxes(-1, -2)).reshape(lam[:, 0::2].shape)
+        lam[:, 1::2] = (left.swapaxes(-1, -2) @ lam_T).reshape(lam[:, 1::2].shape)

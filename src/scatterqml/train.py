@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import encode
+from .circuits import BOND, encode, sites
 from .cnn import INPUT_DIM as CNN_INPUT_DIM
 from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from .dataset import ProcessedDataset, ordered_map
@@ -100,8 +100,15 @@ class QcnnClassifier(_Classifier):
         self.model = QcnnModel.random(n_qubits, encoding, seed)
 
     def prepare(self, angles):
-        """Encoding carries no trainable weights, so states are computed once."""
-        return encode(angles, self.model.n_qubits, self.model.encoding)
+        """Encoding carries no trainable weights, so states are computed once:
+        site tensors, evaluated as a tree, where a tree merge (about chi^6
+        operations) is cheaper than a statevector block (about 2^n), which is
+        TPE (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
+        statevectors."""
+        n, kind = self.model.n_qubits, self.model.encoding
+        if BOND[kind] ** 6 < 1 << n:
+            return sites(angles, n, kind)
+        return encode(angles, n, kind)
 
     def predict_prepared(self, states):
         return qcnn_forward(self.model, states)

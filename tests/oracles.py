@@ -14,9 +14,10 @@ circuit references own their gates: ``Gate``, the rotations ``rx``/``ry``/
 ``rz`` and the gate lists of the encodings and of the QCNN blocks
 (``conv_block_gates``/``pool_block_gates``) are stated here, independently of
 the package's layer table (``qcnn.LAYER``) that they check, and simulated one
-gate at a time; ``format_config`` renders a config mapping back to file text
-for the round-trip tests, and ``load_model`` reads back the checkpoints the
-CLI writes.
+gate at a time; ``tpe4_density_probability`` runs a 4-qubit QCNN on TPE
+inputs by hand with 2x2 and 4x4 density matrices.  ``format_config`` renders
+a config mapping back to file text for the round-trip tests, and
+``load_model`` reads back the checkpoints the CLI writes.
 """
 
 from dataclasses import dataclass, replace
@@ -478,6 +479,33 @@ def gate_forward(model, states):
     gates, readout = build_program(model)
     out = run_program(gates, np.atleast_2d(states), model.params)
     return 0.5 * (1.0 - z_expectation(out, readout))
+
+
+def tpe4_density_probability(model, angles):
+    """Class-1 probability of a 4-qubit QCNN on TPE inputs, by density matrices.
+
+    Each input qubit is rho_k = |v_k><v_k| with v_k = Ry(x_k)|0>.  With U_1,
+    U_2 the two layers' blocks from the gate lists (source = first tensor
+    factor): rho_1' = Tr_0[U_1 (rho_0 (x) rho_1) U_1^dagger],
+    rho_3' = Tr_2[U_1 (rho_2 (x) rho_3) U_1^dagger], and the readout is
+    <1| Tr_1[U_2 (rho_1' (x) rho_3') U_2^dagger] |1>.
+    """
+    if model.n_qubits != 4:
+        raise CircuitError("the density-matrix oracle is for 4 qubits")
+    gates = conv_block_gates(1, 0, 0) + pool_block_gates(1, 0, PARAMS_PER_CONV)
+    U1, U2 = (pair_unitary(gates, p) for p in model.params.reshape(2, PARAMS_PER_LAYER))
+
+    def pool(U, source, target):
+        rho = (U @ np.kron(source, target) @ U.conj().T).reshape(2, 2, 2, 2)
+        return np.einsum("abac->bc", rho)  # trace over the source
+
+    probabilities = []
+    for row in np.atleast_2d(angles):
+        v = [ry(x)[:, 0] for x in row]
+        rho = [np.outer(vk, vk.conj()) for vk in v]
+        readout = pool(U2, pool(U1, rho[0], rho[1]), pool(U1, rho[2], rho[3]))
+        probabilities.append(readout[1, 1].real)
+    return np.array(probabilities)
 
 
 def parameter_shift_gradient(model, states, labels):

@@ -7,6 +7,8 @@ from scatterqml.circuits import (
     apply_unitary,
     encode,
     pair_environment,
+    sites,
+    statevector,
     z_expectation,
 )
 
@@ -120,3 +122,16 @@ def test_encode_validates_width(rng):
 def test_batched_encode_matches_gate_by_gate(rng, width, kind):
     angles = rng.uniform(0, np.pi, size=(3, width))
     assert np.abs(encode(angles, width, kind) - gate_encode(angles, width, kind)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind,bond", [("hee", 4), ("tpe", 1)])
+def test_site_bond_is_the_schmidt_rank_of_every_cut(rng, kind, bond):
+    # HEE is an exact matrix product state of bond 4 that no smaller bond
+    # can hold; TPE is a product state
+    n = 8
+    tensors = sites(rng.uniform(0.1, np.pi - 0.1, size=(2, n)), n, kind)
+    assert tensors.shape == (2, n, bond, 2, bond)
+    for psi in statevector(tensors):
+        for cut in range(1, n):
+            singular = np.linalg.svd(psi.reshape(1 << (n - cut), 1 << cut), compute_uv=False)
+            assert np.sum(singular > 1e-10) == min(bond, 1 << cut, 1 << (n - cut))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scatterqml import circuits
-from scatterqml.circuits import CircuitError, encode
+from scatterqml.circuits import CircuitError, encode, sites
 from scatterqml.qcnn import (
     CONV,
     LAYER,
@@ -30,6 +33,7 @@ from oracles import (
     pool_block_gates,
     table_cnots,
     table_parameters,
+    tpe4_density_probability,
 )
 
 
@@ -121,17 +125,16 @@ def test_forward_probabilities_in_range(rng):
     assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
 
 
-def test_shared_weight_equivariance(rng):
-    # swapping the two conv pairs' input blocks must not change the readout
-    # distribution structure: with identical per-pair inputs the circuit
-    # output is invariant under exchanging the pairs
-    model = QcnnModel.random(4, "hee", 5)
-    a = rng.uniform(0, np.pi, size=2)
-    angles = np.concatenate([a, a])  # pair (q0,q1) equals pair (q2,q3)
-    p1 = qcnn_forward(model, encode(angles[None, :], 4, model.encoding))
-    swapped = np.concatenate([a, a])
-    p2 = qcnn_forward(model, encode(swapped[None, :], 4, model.encoding))
-    assert abs(p1[0] - p2[0]) < 1e-12
+def test_tpe4_matches_density_matrix_oracle(rng):
+    # distinct inputs on the two layer-1 pairs: exchanging the pairs changes
+    # the readout, so an evaluation that mixed them up would fail
+    model = QcnnModel.random(4, "tpe", 5)
+    angles = rng.uniform(0, np.pi, size=(3, 4))
+    expect = tpe4_density_probability(model, angles)
+    swapped = tpe4_density_probability(model, angles[:, [2, 3, 0, 1]])
+    assert np.abs(swapped - expect).min() > 1e-3
+    assert np.abs(qcnn_forward(model, sites(angles, 4, "tpe")) - expect).max() < 1e-12
+    assert np.abs(qcnn_forward(model, encode(angles, 4, "tpe")) - expect).max() < 1e-12
 
 
 def test_parameter_shift_matches_finite_differences(rng):
@@ -194,3 +197,48 @@ def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
         2 * step
     )
     assert abs(adjoint_gradient(model, states, labels) @ direction - fd) < 1e-6
+
+
+def _tree_vs_statevector(model, angles, labels):
+    """Largest probability and gradient differences between the tree over
+    site tensors and the fused statevector path."""
+    tree = sites(angles, model.n_qubits, model.encoding)
+    state = encode(angles, model.n_qubits, model.encoding)
+    dp = np.abs(qcnn_forward(model, tree) - qcnn_forward(model, state)).max()
+    dg = np.abs(adjoint_gradient(model, tree, labels) - adjoint_gradient(model, state, labels))
+    return dp, dg.max()
+
+
+@st.composite
+def circuit_cases(draw):
+    width = draw(st.sampled_from([4, 8]))
+    kind = draw(st.sampled_from(["hee", "tpe"]))
+    rows = draw(st.integers(1, 3))
+    n_params = PARAMS_PER_LAYER * int(np.log2(width))
+    params = draw(arrays(float, n_params, elements=st.floats(-np.pi, np.pi)))
+    angles = draw(arrays(float, (rows, width), elements=st.floats(0.0, np.pi)))
+    labels = draw(arrays(float, rows, elements=st.sampled_from([0.0, 1.0])))
+    return QcnnModel(n_qubits=width, encoding=kind, params=params), angles, labels
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(circuit_cases())
+def test_tree_matches_statevector(case):
+    dp, dg = _tree_vs_statevector(*case)
+    assert dp < 1e-12
+    assert dg < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["hee", "tpe"])
+def test_tree_matches_statevector_at_16_qubits(kind):
+    rng = np.random.default_rng(16)
+    model = QcnnModel.random(16, kind, 23)
+    angles = rng.uniform(0, np.pi, size=(3, 16))
+    dp, dg = _tree_vs_statevector(model, angles, np.array([0.0, 1.0, 1.0]))
+    assert dp < 1e-12
+    assert dg < 1e-10
+
+
+def test_tree_rejects_a_site_batch_of_the_wrong_width():
+    with pytest.raises(CircuitError):
+        qcnn_forward(QcnnModel(n_qubits=8), sites(np.zeros((1, 4)), 4, "tpe"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,27 @@ def test_experiment_counts_train_errors_and_raises_programming_errors(workers):
     broken.features = np.full(broken.features.shape, "angle", dtype=object)
     with pytest.raises(ValueError, match="could not convert"):
         run_experiment(broken, TrainConfig(model="cnn51", runs=2), workers)
+
+
+def test_qcnn16_prepare_and_forward_on_168_rows_stay_below_256_mib(rng):
+    clf = make_classifier("qcnn16-hee", 0)
+    angles = rng.uniform(0, np.pi, size=(168, 16))
+    tracemalloc.start()
+    try:
+        p = clf.predict_prepared(clf.prepare(angles))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.shape == (168,)
+    assert peak < 256 * 2**20
+
+
+@pytest.mark.parametrize(
+    "name,ndim",
+    [("qcnn4-hee", 2), ("qcnn8-hee", 2), ("qcnn16-hee", 5),
+     ("qcnn4-tpe", 5), ("qcnn8-tpe", 5), ("qcnn16-tpe", 5)],
+)
+def test_qcnn_prepare_picks_site_tensors_where_the_tree_is_cheaper(rng, name, ndim):
+    clf = make_classifier(name, 0)
+    width = clf.model.n_qubits
+    assert clf.prepare(rng.uniform(0, np.pi, size=(2, width))).ndim == ndim
