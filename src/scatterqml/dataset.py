@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy
 
-from .evolution import EvolutionError, trajectory
+from .evolution import TIME_CHUNK, EvolutionError, trajectory
 from .lattice import (
     LatticeError,
     LatticeModel,
@@ -32,11 +32,6 @@ from .lattice import (
     prepare_scattering_state,
 )
 from .observables import entanglement_entropy, site_densities
-
-# states of a trajectory whose observables are evaluated together: batching
-# over times amortises the per-call cost, and a short chunk, unlike the whole
-# trajectory, adds little to the sweep's peak memory
-TIME_CHUNK = 16
 
 TIME_STEP = 0.5  # spacing of the recorded times
 # the packets have separated once the density maximum and minimum sit more
@@ -264,8 +259,8 @@ def _run_group(args):
             steps = trajectory(ham, psi0, times)
             for start in range(0, len(times), TIME_CHUNK):
                 stack = chunk_buffer[: min(TIME_CHUNK, len(times) - start)]
-                for row, (_, psi) in zip(stack, steps):
-                    row[:] = psi
+                for row in stack:
+                    row[:] = next(steps)[1]
                 rows = slice(start, start + len(stack))
                 density_image[rows] = site_densities(basis, stack) - vac_density
                 for cut in range(1, config.sites):

@@ -2,8 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from scatterqml.evolution import EvolutionError, evolve, krylov_expm, trajectory
-from scatterqml.lattice import LatticeModel, build_hamiltonian, ground_state
+from scatterqml.dataset import desk_sweep_config
+from scatterqml.evolution import (
+    TIME_CHUNK,
+    EvolutionError,
+    evolve,
+    krylov_expm,
+    trajectory,
+)
+from scatterqml.lattice import (
+    LatticeModel,
+    WavepacketSpec,
+    build_hamiltonian,
+    free_modes,
+    ground_state,
+    prepare_scattering_state,
+)
 
 from oracles import dense_evolve, dense_hamiltonian, embed, ff_single_particle
 
@@ -118,3 +132,79 @@ def test_non_hermitian_matvec_raises_instead_of_renormalising(rng):
     psi = _random_state(rng, ham)
     with pytest.raises(EvolutionError, match="norm"):
         krylov_expm(lambda v: ham.apply(v) + anti_hermitian * v, psi, 1.0)
+
+
+@pytest.mark.parametrize("times,index", [
+    ([0.5, 1.0, 1.0, 1.5], 2),  # repeated
+    ([0.5, 1.5, 1.0], 2),  # descending
+    ([0.0, 0.5], 0),  # not positive
+    ([-0.5, 0.5], 0),
+    ([0.5, np.nan, 1.0], 1),
+])
+def test_trajectory_rejects_a_grid_that_is_not_positive_and_ascending(rng, times, index):
+    ham = build_hamiltonian(LatticeModel(sites=4, mass=0.5, coupling=0.6))
+    psi = _random_state(rng, ham)
+    with pytest.raises(EvolutionError, match=rf"times\[{index}\]"):
+        trajectory(ham, psi, np.array(times))
+
+
+def _chunk_offsets():
+    return 0.5 * np.arange(1, TIME_CHUNK + 1)  # 0.5 ... 8.0
+
+
+def _assert_rows_match_dense(ham, sites, psi, rows, offsets):
+    H = dense_hamiltonian(sites, 0.5, 0.6)
+    full = embed(ham.sector, psi)
+    for row, dt in zip(rows, offsets):
+        assert np.abs(embed(ham.sector, row) - dense_evolve(H, full, dt)).max() < 1e-9
+
+
+@pytest.mark.parametrize("sites", [6, 8])
+def test_one_basis_serves_every_offset_of_a_chunk(rng, sites):
+    ham = build_hamiltonian(LatticeModel(sites=sites, mass=0.5, coupling=0.6))
+    psi = _random_state(rng, ham)
+    offsets = _chunk_offsets()
+    rows = krylov_expm(ham.apply, psi, offsets)
+    assert rows.shape == (TIME_CHUNK, ham.dimension)
+    _assert_rows_match_dense(ham, sites, psi, rows, offsets)
+
+
+@pytest.mark.parametrize("sites,max_dim", [(6, 14), (8, 20)])
+def test_full_basis_returns_the_converged_leading_offsets(rng, sites, max_dim):
+    # a basis too small for the whole chunk, large enough for its start
+    ham = build_hamiltonian(LatticeModel(sites=sites, mass=0.5, coupling=0.6))
+    psi = _random_state(rng, ham)
+    offsets = _chunk_offsets()
+    rows = krylov_expm(ham.apply, psi, offsets, max_dim=max_dim)
+    assert 1 <= len(rows) < TIME_CHUNK
+    _assert_rows_match_dense(ham, sites, psi, rows, offsets)
+
+
+def test_desk_event_trajectory_builds_one_basis_per_chunk():
+    """The matvec count is deterministic.  One basis per recorded time took
+    720 matvecs for this event's 48 times (677 on average over the 210 desk
+    events); one basis per chunk must need at most half of that average."""
+    config = desk_sweep_config()
+    model = LatticeModel(
+        sites=config.sites, mass=max(config.masses), coupling=max(config.couplings)
+    )
+    ham = build_hamiltonian(model)
+    vacuum, _ = ground_state(ham)
+    c, d = config.packet_positions
+    fer = WavepacketSpec("fermion", c, config.fermion_momenta[0], config.momentum_width)
+    anti = WavepacketSpec("antifermion", d, config.antifermion_momenta[0], config.momentum_width)
+    psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
+    calls = 0
+    apply = ham.apply
+
+    def counted(psi):
+        nonlocal calls
+        calls += 1
+        return apply(psi)
+
+    ham.apply = counted
+    times = config.times
+    assert len(times) == 48
+    seen = [t for t, _ in trajectory(ham, psi0, times)]
+    assert seen == list(times)
+    assert calls <= 339
