@@ -14,15 +14,18 @@ Hermitian generator sigma~ (a Pauli on one local qubit), the index of its
 parameter within the layer's 24 (None for a fixed rotation) and a fixed
 angle offset.  At angle a = offset + parameter its matrix is
 exp(-i a sigma~ / 2) = cos(a/2) I - i sin(a/2) sigma~, exact since
-sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER = CONV + POOL.
+sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER holds CONV + POOL as
+constant arrays (StepTable): every step is cos(a/2) C + sin(a/2) D, beside
+its parameter index, a fixed-step mask and its offset, so the 30 step
+matrices of every layer are built as one (n_layers, 30, 4, 4) stack.
 
 The pool of a layer acts on the same disjoint pairs as its convolution, and
 blocks on different pairs commute, so "every conv, then every pool" equals
 "conv then pool, pair by pair": each layer is the product U of its LAYER
 steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  Both
-evaluations below reduce a layer to its 4x4 environment, summed over its
-pairs, and read every parameter derivative from it by walking the LAYER
-steps forward (_layer_gradient).
+evaluations below reduce each layer to its 4x4 environment, summed over its
+pairs, and then read every parameter derivative of every layer from one
+walk forward through the stacked steps (_layer_gradients).
 
 qcnn_forward and adjoint_gradient take either form of encoded batch
 (circuits):
@@ -36,12 +39,20 @@ qcnn_forward and adjoint_gradient take either form of encoded batch
   bonds to the left and right neighbours around the active qubit's density
   matrix, stored (batch, s, chi^2, 2, 2, chi^2).  With the bond pairs
   outermost, a layer merges segments 2j and 2j+1 by one batched matmul over
-  their shared bond pair with no transposed copy (the first layer takes its
-  products straight from pairs of sites), then applies U . U^dagger and the
-  trace over the pooled qubit as one 4x16 matrix K.
+  their shared bond pair with no transposed copy, then applies U . U^dagger
+  and the trace over the pooled qubit as one 4x16 matrix K.
   The root's boundary entry is the readout qubit's density matrix.  The
   gradient runs the same layers in reverse.  The cost per sample is
   O(n chi^6) rather than O(n 2^n).
+
+  The first layer's input is still pure, so it works on kets: each site
+  pair gives the two-site ket X[l, (p q), r] (one batched matmul), the
+  block acts on it as Y = U X, and the segment is
+  S[(l l'), b, b', (r r')] = sum_a Y[l, (a b), r] conj Y[l', (a b'), r'],
+  about 8 chi^4 multiplications per pair instead of a 16-wide outer
+  product folded by K (about 80 chi^4).  With Lam the adjoint of these
+  segments, its environment is env[(a b), (p q)] = sum Z[l, (a b), r]
+  X[l, (p q), r] with Z = Lam . conj Y.
 
 train.QcnnClassifier picks the form: site tensors where chi^6 < 2^n (TPE at
 every width, HEE at 16 qubits), statevectors for HEE at 4 and 8 qubits,
@@ -51,6 +62,7 @@ where the tree is slower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,16 +119,51 @@ CONV = (
 # Pooling: CNOT from the source, local qubit 1, to the target, qubit 0; the
 # source is never touched again.
 POOL = _u3(1, 15) + _u3(0, 18) + [CNOT] + _u3(0, 21)
-LAYER = CONV + POOL
 
 
-def step_matrix(step, layer_params: np.ndarray) -> np.ndarray:
-    """4x4 matrix of one table step at one layer's 24 parameters."""
-    if isinstance(step, np.ndarray):
-        return step
-    generator, index, offset = step
-    angle = offset if index is None else offset + layer_params[index]
-    return np.cos(angle / 2) * _I4 - 1j * np.sin(angle / 2) * generator
+class StepTable(NamedTuple):
+    """A step list as stacked constant arrays: step k at angle
+    a = offset[k] + (the layer parameter index[k] unless fixed[k]) is the
+    4x4 matrix cos(a/2) C[k] + sin(a/2) D[k].  A rotation has C = I and
+    D = -i sigma~; a CNOT is fixed, with C its matrix and D = 0."""
+
+    C: np.ndarray
+    D: np.ndarray
+    index: np.ndarray
+    fixed: np.ndarray
+    offset: np.ndarray
+
+
+def _table(steps) -> StepTable:
+    rows = []
+    for step in steps:
+        if isinstance(step, np.ndarray):
+            rows.append((step, np.zeros((4, 4)), 0, True, 0.0))
+        else:
+            generator, index, offset = step
+            fixed = index is None
+            rows.append((_I4, -1j * generator, 0 if fixed else index, fixed, offset))
+    return StepTable(*(np.array(column) for column in zip(*rows)))
+
+
+LAYER = _table(CONV + POOL)
+
+
+def step_matrices(params: np.ndarray) -> np.ndarray:
+    """Matrices (..., steps, 4, 4) of the LAYER steps at layer parameters
+    (..., 24)."""
+    angles = LAYER.offset + np.where(LAYER.fixed, 0.0, params[..., LAYER.index])
+    half = angles[..., None, None] / 2
+    return np.cos(half) * LAYER.C + np.sin(half) * LAYER.D
+
+
+def fuse(matrices: np.ndarray) -> np.ndarray:
+    """Product of step matrices (..., steps, 4, 4) in circuit order, the
+    first step rightmost."""
+    U = matrices[..., 0, :, :]
+    for k in range(1, matrices.shape[-3]):
+        U = matrices[..., k, :, :] @ U
+    return U
 
 
 @dataclass
@@ -154,29 +201,28 @@ class QcnnModel:
 
 
 def _layers(model: QcnnModel):
-    """(LAYER step matrices, their fused 4x4 block, qubit pairs) of every
-    layer in circuit order, and the final readout qubit."""
-    active = list(range(model.n_qubits))
-    layers = []
-    for layer_params in model.params.reshape(model.n_layers, PARAMS_PER_LAYER):
-        steps = [step_matrix(step, layer_params) for step in LAYER]
-        U = np.eye(4, dtype=complex)
-        for G in steps:
-            U = G @ U
-        pairs = [(active[i], active[i + 1]) for i in range(0, len(active), 2)]
-        layers.append((steps, U, pairs))
-        active = [b for _, b in pairs]
-    if len(active) != 1:
-        raise CircuitError("active set did not reduce to a single qubit")
-    return layers, active[0]
+    """Step matrices (n_layers, steps, 4, 4) and fused blocks (n_layers, 4, 4)
+    of every layer, in circuit order."""
+    G = step_matrices(model.params.reshape(model.n_layers, PARAMS_PER_LAYER))
+    return G, fuse(G)
 
 
-def _run(layers, states: np.ndarray) -> np.ndarray:
+def _pairs(n_qubits: int):
+    """Qubit pairs of every layer and the final readout qubit."""
+    active = list(range(n_qubits))
+    pairs = []
+    while len(active) > 1:
+        pairs.append([(active[i], active[i + 1]) for i in range(0, len(active), 2)])
+        active = [b for _, b in pairs[-1]]
+    return pairs, active[0]
+
+
+def _run(U, pairs, states: np.ndarray) -> np.ndarray:
     # circuits.apply_unitary is looked up at call time, so a wrapped
     # (call-counting) apply_unitary sees every block application
-    for _, U, pairs in layers:
-        for pair in pairs:
-            states = circuits.apply_unitary(states, U, pair)
+    for block, layer_pairs in zip(U, pairs):
+        for pair in layer_pairs:
+            states = circuits.apply_unitary(states, block, pair)
     return states
 
 
@@ -221,55 +267,94 @@ def _merge(segments: np.ndarray) -> np.ndarray:
     return (left @ right).reshape(left.shape[:2] + (bond, 16, bond))
 
 
-def _merge_sites(sites: np.ndarray) -> np.ndarray:
-    """The first layer's T straight from the site pairs, real: with the
-    two-site tensor X[l, p, q, r] = sum_m A[l, p, m] A'[m, q, r],
-    T[(l l'), (p p' q q'), (r r')] = X[l, p, q, r] X[l', p', q', r']."""
+def _pair_kets(sites: np.ndarray) -> np.ndarray:
+    """Two-site kets X[l, (p q), r] = sum_m A[l, p, m] A'[m, q, r] of every
+    site pair, real: (batch, n/2, chi, 4, chi)."""
     batch, n, chi = sites.shape[:3]
     X = sites[:, 0::2].reshape(batch, n // 2, 2 * chi, chi) @ sites[:, 1::2].reshape(
         batch, n // 2, chi, 2 * chi
     )
-    X = X.reshape(batch, n // 2, chi, 2, 2, chi)
-    ket = X[:, :, :, None, :, None, :, None, :, None]
-    bra = X[:, :, None, :, None, :, None, :, None, :]
-    return (ket * bra).reshape(batch, n // 2, chi * chi, 16, chi * chi)
+    return X.reshape(batch, n // 2, chi, 4, chi)
+
+
+def _ket_segments(Y: np.ndarray) -> np.ndarray:
+    """First-layer segments S[(l l'), b, b', (r r')] = sum_a Y[l, (a b), r]
+    conj Y[l', (a b'), r'] of the kets Y = U X, as one batched product of
+    M[a, (l b r)] with its conjugate."""
+    batch, s, chi = Y.shape[:3]
+    M = Y.reshape(batch, s, chi, 2, 2, chi).transpose(0, 1, 3, 2, 4, 5)
+    M = M.reshape(batch, s, 2, 2 * chi * chi)
+    S = (M.swapaxes(-1, -2) @ M.conj()).reshape(batch, s, chi, 2, chi, chi, 2, chi)
+    return S.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(batch, s, chi * chi, 2, 2, chi * chi)
+
+
+def _ket_environment(X: np.ndarray, Y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The first layer's environment env[(a b), (p q)] = sum Z[l, (a b), r]
+    X[l, (p q), r] over the batch, the pairs and the bonds, where
+    Z[l, (a b), r] = sum Lam[(l l'), b, b', (r r')] conj Y[l', (a b'), r']
+    and Lam is the adjoint of the layer's output segments."""
+    batch, s, chi = X.shape[:3]
+    width = 2 * chi * chi
+    # Lam[(l b r), (l' b' r')] and conj Y[(l' b' r'), a]
+    lam = lam.reshape(batch, s, chi, chi, 2, 2, chi, chi).transpose(0, 1, 2, 4, 6, 3, 5, 7)
+    Yc = Y.reshape(batch, s, chi, 2, 2, chi).transpose(0, 1, 2, 4, 5, 3).conj()
+    Z = (lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, 2)).reshape(
+        batch, s, chi, 2, chi, 2
+    )
+    # [(a b), (batch s l r)] @ [(batch s l r), (p q)]
+    return _mul(Z.transpose(5, 3, 0, 1, 2, 4).reshape(4, -1), X.swapaxes(-1, -2).reshape(-1, 4))
 
 
 # |1><1| of the readout qubit in the root segment, at the boundary bonds
 _READOUT = (slice(None), 0, 0, 1, 1, 0)
 
 
-def _tree(layers, sites: np.ndarray):
-    """Yield, layer by layer, the merged T (one batched contraction per
-    layer) and the segments leaving the layer, (batch, s, L, 2, 2, R).  The
-    last layer leaves the root, whose _READOUT entry is p."""
-    batch, _, chi = sites.shape[:3]
-    segments = None
-    for depth, (_, U, _) in enumerate(layers):
-        T = _merge(segments) if depth else _merge_sites(sites)
-        segments = _mul(_fold(U), T).reshape(batch, -1, chi * chi, 2, 2, chi * chi)
+def _tree(U: np.ndarray, sites: np.ndarray):
+    """Yield, layer by layer, what the layer's segments are built from and
+    the segments leaving the layer, (batch, s, L, 2, 2, R): the pair kets X
+    and Y = U X at the first layer, after it the merged T (one batched
+    contraction).  The last layer leaves the root, whose _READOUT entry is p."""
+    X = _pair_kets(sites)
+    Y = _mul(U[0], X)
+    segments = _ket_segments(Y)
+    yield (X, Y), segments
+    for block in U[1:]:
+        T = _merge(segments)
+        segments = _mul(_fold(block), T).reshape(segments.shape[:1] + (-1,) + segments.shape[2:])
         yield T, segments
 
 
-def _layer_gradient(steps, U: np.ndarray, env: np.ndarray, layer_grad: np.ndarray) -> None:
-    """Add a layer's parameter derivatives to layer_grad from its environment
-    env[i, j] (i the block's output index, j its input index), where the loss
-    changes by 2 Re sum(dU * env).  Walking forward through the LAYER steps
-    from W = env^T U with W <- G W G^dagger, each rotation exp(-i theta sigma~ / 2)
-    adds Im tr(sigma~ W) to its parameter."""
-    W = env.T @ U
-    for step, G in zip(LAYER, steps):
-        W = G @ W @ G.conj().T
-        if isinstance(step, tuple) and step[1] is not None:
-            generator, index, _ = step
-            # tr(sigma~ W) = vdot(sigma~, W) as sigma~ is Hermitian
-            layer_grad[index] += np.vdot(generator, W).imag
+def _layer_gradients(G: np.ndarray, U: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Parameter derivatives (n_layers, 24) from every layer's environment
+    env[i, j] (i the block's output index, j its input index), where the
+    loss changes by 2 Re sum(dU * env).  All layers walk forward through
+    their LAYER steps at once from W = env^T U with W <- G W G^dagger; each
+    rotation cos(a/2) I + sin(a/2) D, D = -i sigma~, adds
+    Im tr(sigma~ W) = Re tr(D W) to its parameter (each parameter drives
+    one step)."""
+    W = env.swapaxes(-1, -2) @ U
+    walked = np.empty(G.shape, complex)
+    for k in range(G.shape[1]):
+        W = G[:, k] @ W @ G[:, k].conj().swapaxes(-1, -2)
+        walked[:, k] = W
+    trace = np.einsum("kij,lkji->lk", LAYER.D, walked).real
+    grad = np.zeros((len(U), PARAMS_PER_LAYER))
+    grad[:, LAYER.index[~LAYER.fixed]] = trace[:, ~LAYER.fixed]
+    return grad
 
 
 def _check_width(model: QcnnModel, states: np.ndarray) -> None:
-    expected = model.n_qubits if states.ndim == 5 else 1 << model.n_qubits
-    if states.ndim not in (2, 5) or states.shape[1] != expected:
-        raise CircuitError("state dimension does not match the model width")
+    n = model.n_qubits
+    if states.ndim == 5:
+        chi = states.shape[2]
+        ok = states.shape[1:] == (n, chi, 2, chi)
+    else:
+        ok = states.ndim == 2 and states.shape[1] == 1 << n
+    if not ok:
+        raise CircuitError(
+            f"expected (batch, {1 << n}) statevectors or (batch, {n}, chi, 2, chi) "
+            f"site tensors for {n} qubits, got shape {states.shape}"
+        )
 
 
 def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
@@ -277,19 +362,21 @@ def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
     (batch, 2**n) statevectors or (batch, n, chi, 2, chi) site tensors."""
     states = np.atleast_2d(states)
     _check_width(model, states)
-    layers, readout = _layers(model)
+    _, U = _layers(model)
     if states.ndim == 2:
-        return _probability(_run(layers, states), readout)
-    for _, root in _tree(layers, states):
+        pairs, readout = _pairs(model.n_qubits)
+        return _probability(_run(U, pairs, states), readout)
+    for _, root in _tree(U, states):
         pass
     return root[_READOUT].real
 
 
 def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Reverse-pass gradient of the mean squared error, layer by layer.
+    """Reverse-pass gradient of the mean squared error.
 
-    Each layer's 4x4 environment, summed over its pairs, gives its parameter
-    derivatives (_layer_gradient).  Agreement with the parameter-shift
+    Every layer's 4x4 environment, summed over its pairs, is collected
+    first; one walk over the stacked layers then gives every parameter
+    derivative (_layer_gradients).  Agreement with the parameter-shift
     reference to 1e-8 is asserted in the tests.
 
     Statevectors: lam = (dL/dp) P1 |psi> starts at the readout projector P1
@@ -300,55 +387,58 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
 
     Site tensors: the adjoint Lam of a layer's output segments, with
     dL = sum(Lam * d segments), starts as dL/dp on the root's _READOUT entry.
-    With H[(p p' q q'), (b b')] = sum of T[L, (p p' q q'), R] Lam[L, (b b'), R]
-    over the bonds and every merge of the batch, a layer's environment is
-    env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')];
-    Lam is carried back through K and the merge products to the segments
-    entering the layer.
+    Above the first layer, with H[(p p' q q'), (b b')] = sum of
+    T[L, (p p' q q'), R] Lam[L, (b b'), R] over the bonds and every merge of
+    the batch, a layer's environment is
+    env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')],
+    and Lam is carried back through K and the merge products to the
+    segments entering the layer.  The first layer's environment comes from
+    its kets (_ket_environment).
     """
     states = np.atleast_2d(states)
     _check_width(model, states)
     labels = np.asarray(labels, dtype=float)
-    layers, readout = _layers(model)
-    grad = np.zeros((model.n_layers, PARAMS_PER_LAYER))
+    G, U = _layers(model)
     if states.ndim == 5:
-        _tree_gradient(layers, states, labels, grad)
-        return grad.ravel()
+        env = _tree_environments(U, states, labels)
+    else:
+        env = _statevector_environments(U, states, labels, *_pairs(model.n_qubits))
+    return _layer_gradients(G, U, env).ravel()
 
-    psi = _run(layers, states)
+
+def _statevector_environments(U, states, labels, pairs, readout) -> np.ndarray:
+    psi = _run(U, pairs, states)
     outer = 2.0 * (_probability(psi, readout) - labels) / labels.size
     projector = (np.arange(psi.shape[1]) >> readout) & 1  # P1 on the readout qubit
     lam = (outer[:, None] * projector) * psi
-    for layer_grad, (steps, U, pairs) in zip(grad[::-1], reversed(layers)):
-        Uh = U.conj().T
-        env = np.zeros((4, 4), complex)
-        for pair in reversed(pairs):
+    env = np.zeros(U.shape, complex)
+    for depth in reversed(range(len(U))):
+        Uh = U[depth].conj().T
+        for pair in reversed(pairs[depth]):
             psi = circuits.apply_unitary(psi, Uh, pair)
-            env += pair_environment(lam, psi, pair)  # lam after the block, psi before it
+            env[depth] += pair_environment(lam, psi, pair)  # lam after the block, psi before it
             lam = circuits.apply_unitary(lam, Uh, pair)
-        _layer_gradient(steps, U, env, layer_grad)
-    return grad.ravel()
+    return env
 
 
-def _tree_gradient(layers, sites: np.ndarray, labels: np.ndarray, grad: np.ndarray) -> None:
-    merged, segments = zip(*_tree(layers, sites))
+def _tree_environments(U, sites, labels) -> np.ndarray:
+    built, segments = zip(*_tree(U, sites))
     lam = np.zeros(segments[-1].shape)
     lam[_READOUT] = 2.0 * (segments[-1][_READOUT].real - labels) / labels.size
-    for depth in reversed(range(len(layers))):
-        steps, U, _ = layers[depth]
-        T = merged[depth]
+    env = np.empty(U.shape, complex)
+    for depth in range(len(U) - 1, 0, -1):
+        T = built[depth]
         bond = T.shape[-1]
         lam = lam.reshape(T.shape[:3] + (4, bond))  # [L, (b b'), R]
         # H[(p p' q q'), (b b')]
         H = _mul(T.reshape(-1, 16, bond), lam.reshape(-1, 4, bond).swapaxes(1, 2)).sum(axis=0)
-        U4 = U.reshape(2, 2, 2, 2)
-        env = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
-        _layer_gradient(steps, U, env, grad[depth])
-        if depth == 0:
-            break
+        U4 = U[depth].reshape(2, 2, 2, 2)
+        env[depth] = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
         entering = segments[depth - 1]
         left, right = _halves(entering)
-        lam_T = (_fold(U).T @ lam).reshape(left.shape[:2] + (4 * bond, 4 * bond))
+        lam_T = (_fold(U[depth]).T @ lam).reshape(left.shape[:2] + (4 * bond, 4 * bond))
         lam = np.empty_like(entering)
         lam[:, 0::2] = (lam_T @ right.swapaxes(-1, -2)).reshape(lam[:, 0::2].shape)
         lam[:, 1::2] = (left.swapaxes(-1, -2) @ lam_T).reshape(lam[:, 1::2].shape)
+    env[0] = _ket_environment(*built[0], lam)
+    return env

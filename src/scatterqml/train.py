@@ -104,7 +104,9 @@ class QcnnClassifier(_Classifier):
         site tensors, evaluated as a tree, where a tree merge (about chi^6
         operations) is cheaper than a statevector block (about 2^n), which is
         TPE (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
-        statevectors."""
+        statevectors.  The tree's first layer forms its two-site kets from
+        the site tensors on every call (under 1% of a forward), so the
+        site tensors stay its only input."""
         n, kind = self.model.n_qubits, self.model.encoding
         if BOND[kind] ** 6 < 1 << n:
             return sites(angles, n, kind)

@@ -15,7 +15,12 @@ circuit references own their gates: ``Gate``, the rotations ``rx``/``ry``/
 (``conv_block_gates``/``pool_block_gates``) are stated here, independently of
 the package's layer table (``qcnn.LAYER``) that they check, and simulated one
 gate at a time; ``tpe4_density_probability`` runs a 4-qubit QCNN on TPE
-inputs by hand with 2x2 and 4x4 density matrices.  ``format_config`` renders
+inputs by hand with 2x2 and 4x4 density matrices;
+``outer_product_first_layer`` keeps the tree's first layer as an outer
+product of two-site tensors folded by a 4x16 matrix, the reference for the
+package's ket-first layer; ``parameter_shift_gradient`` runs every shifted
+program as one batch and ``serial_parameter_shift_gradient`` one program
+per shift.  ``format_config`` renders
 a config mapping back to file text for the round-trip tests, and
 ``load_model`` reads back the checkpoints the CLI writes.
 """
@@ -508,8 +513,39 @@ def tpe4_density_probability(model, angles):
     return np.array(probabilities)
 
 
-def parameter_shift_gradient(model, states, labels):
-    """Gradient of mean squared error via the two-point shift rule.
+def outer_product_first_layer(U, sites):
+    """The QCNN tree's first layer by the outer-product route.
+
+    With the two-site tensor X[l, p, q, r] = sum_m A[l, p, m] A'[m, q, r] of
+    each site pair, its real outer product
+    T[(l l'), (p p' q q'), (r r')] = X[l, p, q, r] X[l', p', q', r'] is
+    folded by K[(b b'), (p p' q q')] = sum_a U[(a b), (p q)] conj U[(a b'), (p' q')]
+    into the segments K T, (batch, n/2, chi^2, 2, 2, chi^2).  Returns
+    (T, segments).
+    """
+    X = np.einsum("xslpm,xsmqr->xslpqr", sites[:, 0::2], sites[:, 1::2])
+    batch, s, chi = X.shape[:3]
+    T = np.einsum("xslpqr,xsmuvt->xslmpuqvrt", X, X).reshape(batch, s, chi * chi, 16, chi * chi)
+    U4 = U.reshape(2, 2, 2, 2)
+    K = np.einsum("abpq,acrs->bcprqs", U4, U4.conj()).reshape(4, 16)
+    segments = np.einsum("kj,xsljr->xslkr", K, T)
+    return T, segments.reshape(batch, s, chi * chi, 2, 2, chi * chi)
+
+
+def outer_product_first_environment(U, T, lam):
+    """The first layer's 4x4 environment from T of outer_product_first_layer
+    and the adjoint lam of its segments:
+    env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')] with
+    H = sum of T[L, (p p' q q'), R] lam[L, (b b'), R] over the bonds, pairs
+    and batch."""
+    H = np.einsum("xsljr,xslkr->jk", T, lam.reshape(T.shape[:3] + (4, T.shape[-1])))
+    U4 = U.reshape(2, 2, 2, 2)
+    return np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
+
+
+def serial_parameter_shift_gradient(model, states, labels):
+    """Gradient of mean squared error via the two-point shift rule, one
+    program per shift.
 
     Every occurrence of a shared parameter is shifted separately by +-pi/2
     and the contributions are accumulated, so weight sharing is handled
@@ -532,6 +568,39 @@ def parameter_shift_gradient(model, states, labels):
         p_minus = 0.5 * (1.0 - z_expectation(minus, readout))
         dp = 0.5 * (p_plus - p_minus)
         grad[gate.param] += np.sum(outer * dp)
+    return grad
+
+
+def parameter_shift_gradient(model, states, labels):
+    """The shift rule of serial_parameter_shift_gradient, every program in
+    one batch.
+
+    With k parameterised gate occurrences, copy 0 of the batch runs
+    unshifted and copies 2j + 1 and 2j + 2 shift occurrence j by +pi/2 and
+    -pi/2: (1 + 2k) * batch rows.  The gate list is walked once; each gate
+    applies its own matrix to every copy, and its shifted matrices to the
+    two copies that shift it.
+    """
+    states = np.atleast_2d(states)
+    labels = np.asarray(labels, dtype=float)
+    gates, readout = build_program(model)
+    params, batch = model.params, len(states)
+    shifted = [i for i, gate in enumerate(gates) if gate.param is not None]
+    copy = {i: 2 * j + 1 for j, i in enumerate(shifted)}  # its +pi/2 copy
+    stack = np.tile(states, (1 + 2 * len(shifted), 1))
+    for i, gate in enumerate(gates):
+        out = apply_unitary(stack, gate.matrix(params), gate.qubits)
+        if i in copy:
+            for c, shift in ((copy[i], np.pi / 2), (copy[i] + 1, -np.pi / 2)):
+                rows = slice(c * batch, (c + 1) * batch)
+                matrix = replace(gate, offset=gate.offset + shift).matrix(params)
+                out[rows] = apply_unitary(stack[rows], matrix, gate.qubits)
+        stack = out
+    p = 0.5 * (1.0 - z_expectation(stack, readout)).reshape(-1, batch)
+    outer = 2.0 * (p[0] - labels) / labels.size
+    dp = 0.5 * (p[1::2] - p[2::2])  # [occurrence, row]
+    grad = np.zeros_like(params)
+    np.add.at(grad, [gates[i].param for i in shifted], dp @ outer)
     return grad
 
 

@@ -1,6 +1,16 @@
 import numpy as np
 
-from oracles import Gate, run_program, ry, zero_state
+from scatterqml.circuits import encode
+from scatterqml.qcnn import QcnnModel
+
+from oracles import (
+    Gate,
+    parameter_shift_gradient,
+    run_program,
+    ry,
+    serial_parameter_shift_gradient,
+    zero_state,
+)
 
 
 def test_run_program_shift_single_occurrence(rng):
@@ -11,3 +21,14 @@ def test_run_program_shift_single_occurrence(rng):
     # only the second occurrence is shifted
     expect = ry(0.3 + np.pi / 2) @ (ry(0.3) @ np.array([1.0, 0.0]))
     assert np.abs(shifted[0] - expect).max() < 1e-14
+
+
+def test_batched_parameter_shift_matches_one_program_per_shift():
+    rng = np.random.default_rng(8)
+    for width in (4, 8):
+        model = QcnnModel.random(width, "hee", width + 1)
+        states = encode(rng.uniform(0, np.pi, size=(2, width)), width, "hee")
+        labels = np.array([1.0, 0.0])
+        batched = parameter_shift_gradient(model, states, labels)
+        serial = serial_parameter_shift_gradient(model, states, labels)
+        assert np.abs(batched - serial).max() < 1e-14

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scatterqml import circuits
+from scatterqml import circuits, qcnn
 from scatterqml.circuits import CircuitError, encode, sites
 from scatterqml.qcnn import (
     CONV,
@@ -15,8 +17,9 @@ from scatterqml.qcnn import (
     POOL,
     QcnnModel,
     adjoint_gradient,
+    fuse,
     qcnn_forward,
-    step_matrix,
+    step_matrices,
 )
 
 from oracles import (
@@ -27,6 +30,8 @@ from oracles import (
     finite_difference_gradient,
     gate_adjoint_gradient,
     gate_forward,
+    outer_product_first_environment,
+    outer_product_first_layer,
     pair_unitary,
     parameter_shift_gradient,
     pool_block,
@@ -45,11 +50,13 @@ def _mse(width, encoding, states, labels):
     return loss
 
 
-def _fuse(steps, layer_params):
-    U = np.eye(4, dtype=complex)
-    for step in steps:
-        U = step_matrix(step, layer_params) @ U
-    return U
+def _fuse(layer_params, steps=slice(None)):
+    """Fused block of the stacked LAYER table's steps (all, or a slice)."""
+    return fuse(step_matrices(layer_params)[steps])
+
+
+_CONV_STEPS = slice(len(CONV))
+_POOL_STEPS = slice(len(CONV), None)
 
 
 def test_conv_block_structure():
@@ -63,11 +70,17 @@ def test_pool_block_structure():
 
 
 def test_layer_table_matches_the_oracle_gate_lists(rng):
-    assert sorted(table_parameters(LAYER)) == list(range(PARAMS_PER_LAYER))
+    params = LAYER.index[~LAYER.fixed]
+    assert list(params) == table_parameters(CONV + POOL)
+    assert sorted(params) == list(range(PARAMS_PER_LAYER))
     theta = rng.uniform(-np.pi, np.pi, PARAMS_PER_LAYER)
     gates = conv_block_gates(1, 0, 0) + pool_block_gates(1, 0, PARAMS_PER_CONV)
-    assert np.abs(_fuse(LAYER, theta) - pair_unitary(gates, theta)).max() < 1e-14
-    U = _fuse(CONV, np.zeros(PARAMS_PER_LAYER))  # identity up to a global phase
+    assert np.abs(_fuse(theta) - pair_unitary(gates, theta)).max() < 1e-14
+    # the blocks the model applies are the same table, stacked over layers
+    _, U = qcnn._layers(QcnnModel(n_qubits=4, params=np.concatenate([theta, theta[::-1]])))
+    assert np.abs(U[0] - pair_unitary(gates, theta)).max() < 1e-14
+    assert np.abs(U[1] - pair_unitary(gates, theta[::-1])).max() < 1e-14
+    U = _fuse(np.zeros(PARAMS_PER_LAYER), _CONV_STEPS)  # identity up to a global phase
     assert abs(abs(U[0, 0]) - 1.0) < 1e-14
     assert np.abs(U / U[0, 0] - np.eye(4)).max() < 1e-14
 
@@ -75,16 +88,21 @@ def test_layer_table_matches_the_oracle_gate_lists(rng):
 def test_conv_block_identity_at_zero():
     U = conv_block(np.zeros(15))
     assert np.abs(U - np.eye(4)).max() < 1e-12
+    U = _fuse(np.zeros(PARAMS_PER_LAYER), _CONV_STEPS) * np.exp(0.25j * np.pi)
+    assert np.abs(U - np.eye(4)).max() < 1e-12
 
 
 def test_conv_block_unitary(rng):
-    U = conv_block(rng.uniform(-np.pi, np.pi, 15))
-    assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-12
+    theta = rng.uniform(-np.pi, np.pi, PARAMS_PER_LAYER)
+    for U in (conv_block(theta[:PARAMS_PER_CONV]), _fuse(theta, _CONV_STEPS), _fuse(theta)):
+        assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-12
 
 
 def test_pool_block_unitary(rng):
-    U = pool_block(rng.uniform(-np.pi, np.pi, 9))
+    theta = rng.uniform(-np.pi, np.pi, PARAMS_PER_LAYER)
+    U = pool_block(theta[PARAMS_PER_CONV:])
     assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-12
+    assert np.abs(_fuse(theta, _POOL_STEPS) - U).max() < 1e-12
 
 
 @pytest.mark.parametrize("width,count", [(4, 48), (8, 72), (16, 96)])
@@ -186,17 +204,23 @@ def test_forward_applies_one_block_per_pair_and_layer(monkeypatch, width):
 
 
 def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
-    model = QcnnModel.random(16, "hee", 17)
-    states = encode(rng.uniform(0, np.pi, size=(1, 16)), 16, "hee")
+    angles = rng.uniform(0, np.pi, size=(1, 16))
     labels = np.array([1.0])
-    direction = rng.normal(size=model.n_parameters)
+    direction = rng.normal(size=QcnnModel(n_qubits=16).n_parameters)
     direction /= np.linalg.norm(direction)
-    loss = _mse(16, "hee", states, labels)
     step = 1e-4
-    fd = (loss(model.params + step * direction) - loss(model.params - step * direction)) / (
-        2 * step
-    )
-    assert abs(adjoint_gradient(model, states, labels) @ direction - fd) < 1e-6
+    # the statevector and both site-tensor inputs, each against its own loss
+    for kind, states in [
+        ("hee", encode(angles, 16, "hee")),
+        ("hee", sites(angles, 16, "hee")),
+        ("tpe", sites(angles, 16, "tpe")),
+    ]:
+        model = QcnnModel.random(16, kind, 17)
+        loss = _mse(16, kind, states, labels)
+        fd = (loss(model.params + step * direction) - loss(model.params - step * direction)) / (
+            2 * step
+        )
+        assert abs(adjoint_gradient(model, states, labels) @ direction - fd) < 1e-6
 
 
 def _tree_vs_statevector(model, angles, labels):
@@ -242,3 +266,28 @@ def test_tree_matches_statevector_at_16_qubits(kind):
 def test_tree_rejects_a_site_batch_of_the_wrong_width():
     with pytest.raises(CircuitError):
         qcnn_forward(QcnnModel(n_qubits=8), sites(np.zeros((1, 4)), 4, "tpe"))
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 4, 3, 4), (1, 16, 4, 2, 2), (1, 16, 2, 2, 4)])
+def test_tree_rejects_a_site_batch_not_shaped_chi_2_chi(shape):
+    model = QcnnModel(n_qubits=16)
+    for run in (
+        lambda states: qcnn_forward(model, states),
+        lambda states: adjoint_gradient(model, states, np.zeros(1)),
+    ):
+        with pytest.raises(CircuitError, match=re.escape(str(shape))):
+            run(np.zeros(shape))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("kind", ["hee", "tpe"])
+def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
+    rng = np.random.default_rng(rows)
+    A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
+    _, U = qcnn._layers(QcnnModel.random(16, kind, rows))
+    T, expect = outer_product_first_layer(U[0], A)
+    (X, Y), segments = next(qcnn._tree(U, A))
+    assert np.abs(segments - expect).max() < 1e-13
+    lam = rng.normal(size=expect.shape) + 1j * rng.normal(size=expect.shape)
+    env = qcnn._ket_environment(X, Y, lam)
+    assert np.abs(env - outer_product_first_environment(U[0], T, lam)).max() < 1e-13
