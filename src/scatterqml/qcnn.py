@@ -37,13 +37,26 @@ qcnn_forward and adjoint_gradient take either form of encoded batch
   et al., npj Quantum Inf. 4, 65, 2018).  A segment carries one active
   qubit and traces out the rest: S[(l l'), x, x', (r r')], its ket and bra
   bonds to the left and right neighbours around the active qubit's density
-  matrix, stored (batch, s, chi^2, 2, 2, chi^2).  With the bond pairs
-  outermost, a layer merges segments 2j and 2j+1 by one batched matmul over
-  their shared bond pair with no transposed copy, then applies U . U^dagger
-  and the trace over the pooled qubit as one 4x16 matrix K.
-  The root's boundary entry is the readout qubit's density matrix.  The
-  gradient runs the same layers in reverse.  The cost per sample is
-  O(n chi^6) rather than O(n 2^n).
+  matrix, stored (batch, k, L, 2, 2, R) with k segments side by side.  A
+  merge takes a left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to
+  one batched matmul over their shared bond pair M with no transposed copy,
+  then applies U . U^dagger and the trace over the pooled qubit as one 4x16
+  matrix K.  The gradient runs the same layers in reverse.
+
+  The chain's outer bonds are trivial: circuits.sites (and
+  circuits.statevector) use only bond index 0 left of the first site and
+  right of the last one, and a segment's outer bond index passes unchanged
+  up to the root.  So every layer, the first included, holds three groups
+  of segments (_edges): the left edge at L = (0, 0) only, the batched
+  interior at L = R = chi^2, and the right edge at R = (0, 0) only.  An
+  edge merges with its interior neighbour, the rest of the interior merges
+  pairwise, and the root, the readout qubit's density matrix at
+  (batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).  An
+  interior merge costs 16 chi^6 multiplications per sample and an edge
+  merge 16 chi^4 or less.  Above the first layer there are
+  n/2 - 2 log2(n) + 2 interior merges (2 at 16 qubits, none at 4 and 8)
+  and 2 log2(n) - 3 edge merges, against n/2 - 1 full merges without the
+  edges.  The cost per sample stays O(n chi^6), rather than O(n 2^n).
 
   The first layer's input is still pure, so it works on kets: each site
   pair gives the two-site ket X[l, (p q), r] (one batched matmul), the
@@ -250,21 +263,44 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _halves(segments: np.ndarray):
-    """Left and right segments of every merge as matrices over their shared
-    bond pair M: left [(L p p'), M] and right [M, (q q' R)] (views)."""
-    batch, s, bond = segments.shape[:3]
-    left = segments[:, 0::2].reshape(batch, s // 2, 4 * bond, bond)
-    right = segments[:, 1::2].reshape(batch, s // 2, bond, 4 * bond)
-    return left, right
+def _matrices(left: np.ndarray, right: np.ndarray):
+    """Merge operands (batch, k, L, 2, 2, M) and (batch, k, M, 2, 2, R) as
+    matrices over their shared bond pair M: left [(L p p'), M] and right
+    [M, (q q' R)] (views)."""
+    batch, k, L, *_, M = left.shape
+    return left.reshape(batch, k, 4 * L, M), right.reshape(batch, k, M, -1)
 
 
-def _merge(segments: np.ndarray) -> np.ndarray:
-    """T[L, (p p' q q'), R] = sum_M S_left[L, p, p', M] S_right[M, q, q', R] for
-    every adjacent pair of segments: (batch, s/2, L, 16, R)."""
-    left, right = _halves(segments)
-    bond = right.shape[2]
-    return (left @ right).reshape(left.shape[:2] + (bond, 16, bond))
+def _merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """T[L, (p p' q q'), R] = sum_M S_left[L, p, p', M] S_right[M, q, q', R]
+    of every operand pair, one batched matmul: (batch, k, L, 16, R)."""
+    lm, rm = _matrices(left, right)
+    return (lm @ rm).reshape(left.shape[:3] + (16, right.shape[-1]))
+
+
+def _edges(x: np.ndarray) -> list:
+    """A layer's segments (batch, s, L, ..., R) as groups: the first segment
+    at left bond 0 only, the interior, and the last at right bond 0 only
+    (no interior when s = 2).  The root reads only those bond entries."""
+    groups = [x[:, :1, :1], x[:, 1:-1], x[:, -1:, ..., :1]]
+    return groups if x.shape[1] > 2 else groups[::2]
+
+
+_ALL = slice(None)
+
+
+def _plan(groups: list) -> list:
+    """The merges of a layer whose segments come in these groups (_edges),
+    one per group leaving it, each as the (group, segment slice) of its left
+    and its right operand.  Two edges merge into the root; otherwise each
+    edge merges with its interior neighbour and the rest of the interior
+    pairwise."""
+    if len(groups) == 2:
+        return [((0, _ALL), (1, _ALL))]
+    plan = [((0, _ALL), (1, slice(0, 1)))]
+    if groups[1].shape[1] > 2:
+        plan.append(((1, slice(1, -1, 2)), (1, slice(2, -1, 2))))
+    return plan + [((1, slice(-1, None)), (2, _ALL))]
 
 
 def _pair_kets(sites: np.ndarray) -> np.ndarray:
@@ -279,30 +315,36 @@ def _pair_kets(sites: np.ndarray) -> np.ndarray:
 
 def _ket_segments(Y: np.ndarray) -> np.ndarray:
     """First-layer segments S[(l l'), b, b', (r r')] = sum_a Y[l, (a b), r]
-    conj Y[l', (a b'), r'] of the kets Y = U X, as one batched product of
-    M[a, (l b r)] with its conjugate."""
-    batch, s, chi = Y.shape[:3]
-    M = Y.reshape(batch, s, chi, 2, 2, chi).transpose(0, 1, 3, 2, 4, 5)
-    M = M.reshape(batch, s, 2, 2 * chi * chi)
-    S = (M.swapaxes(-1, -2) @ M.conj()).reshape(batch, s, chi, 2, chi, chi, 2, chi)
-    return S.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(batch, s, chi * chi, 2, 2, chi * chi)
+    conj Y[l', (a b'), r'] of the kets Y = U X, (batch, s, l, 4, r), as one
+    batched product of M[a, (l b r)] with its conjugate."""
+    batch, s, l, _, r = Y.shape
+    M = Y.reshape(batch, s, l, 2, 2, r).transpose(0, 1, 3, 2, 4, 5)
+    M = M.reshape(batch, s, 2, 2 * l * r)
+    S = (M.swapaxes(-1, -2) @ M.conj()).reshape(batch, s, l, 2, r, l, 2, r)
+    return S.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(batch, s, l * l, 2, 2, r * r)
 
 
 def _ket_environment(X: np.ndarray, Y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The first layer's environment env[(a b), (p q)] = sum Z[l, (a b), r]
     X[l, (p q), r] over the batch, the pairs and the bonds, where
     Z[l, (a b), r] = sum Lam[(l l'), b, b', (r r')] conj Y[l', (a b'), r']
-    and Lam is the adjoint of the layer's output segments."""
-    batch, s, chi = X.shape[:3]
-    width = 2 * chi * chi
+    and Lam is the adjoint of the segments _ket_segments(Y)."""
+    batch, s, l, _, r = X.shape
+    width = 2 * l * r
     # Lam[(l b r), (l' b' r')] and conj Y[(l' b' r'), a]
-    lam = lam.reshape(batch, s, chi, chi, 2, 2, chi, chi).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-    Yc = Y.reshape(batch, s, chi, 2, 2, chi).transpose(0, 1, 2, 4, 5, 3).conj()
+    lam = lam.reshape(batch, s, l, l, 2, 2, r, r).transpose(0, 1, 2, 4, 6, 3, 5, 7)
+    Yc = Y.reshape(batch, s, l, 2, 2, r).transpose(0, 1, 2, 4, 5, 3).conj()
     Z = (lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, 2)).reshape(
-        batch, s, chi, 2, chi, 2
+        batch, s, l, 2, r, 2
     )
     # [(a b), (batch s l r)] @ [(batch s l r), (p q)]
     return _mul(Z.transpose(5, 3, 0, 1, 2, 4).reshape(4, -1), X.swapaxes(-1, -2).reshape(-1, 4))
+
+
+def _first_environment(kets: list, lam: list) -> np.ndarray:
+    """The first layer's environment, summed over its segment groups: kets
+    holds each group's (X, Y) and lam its segments' adjoint."""
+    return sum(_ket_environment(X, Y, g) for (X, Y), g in zip(kets, lam))
 
 
 # |1><1| of the readout qubit in the root segment, at the boundary bonds
@@ -311,17 +353,19 @@ _READOUT = (slice(None), 0, 0, 1, 1, 0)
 
 def _tree(U: np.ndarray, sites: np.ndarray):
     """Yield, layer by layer, what the layer's segments are built from and
-    the segments leaving the layer, (batch, s, L, 2, 2, R): the pair kets X
-    and Y = U X at the first layer, after it the merged T (one batched
-    contraction).  The last layer leaves the root, whose _READOUT entry is p."""
+    the groups of segments leaving the layer (_edges), each
+    (batch, k, L, 2, 2, R): at the first layer each group's pair kets X and
+    Y = U X, after it the merged T of each group (_plan).  The last layer
+    leaves the root, (batch, 1, 1, 2, 2, 1), whose _READOUT entry is p."""
     X = _pair_kets(sites)
-    Y = _mul(U[0], X)
-    segments = _ket_segments(Y)
-    yield (X, Y), segments
+    kets = list(zip(_edges(X), _edges(_mul(U[0], X))))
+    groups = [_ket_segments(Y) for _, Y in kets]
+    yield kets, groups
     for block in U[1:]:
-        T = _merge(segments)
-        segments = _mul(_fold(block), T).reshape(segments.shape[:1] + (-1,) + segments.shape[2:])
-        yield T, segments
+        K = _fold(block)
+        T = [_merge(groups[a][:, i], groups[b][:, j]) for (a, i), (b, j) in _plan(groups)]
+        groups = [(K @ t).reshape(t.shape[:3] + (2, 2, t.shape[-1])) for t in T]
+        yield T, groups
 
 
 def _layer_gradients(G: np.ndarray, U: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -366,9 +410,9 @@ def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
     if states.ndim == 2:
         pairs, readout = _pairs(model.n_qubits)
         return _probability(_run(U, pairs, states), readout)
-    for _, root in _tree(U, states):
+    for _, groups in _tree(U, states):
         pass
-    return root[_READOUT].real
+    return groups[0][_READOUT].real
 
 
 def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -422,23 +466,27 @@ def _statevector_environments(U, states, labels, pairs, readout) -> np.ndarray:
 
 
 def _tree_environments(U, sites, labels) -> np.ndarray:
-    built, segments = zip(*_tree(U, sites))
-    lam = np.zeros(segments[-1].shape)
-    lam[_READOUT] = 2.0 * (segments[-1][_READOUT].real - labels) / labels.size
+    built, groups = zip(*_tree(U, sites))
+    root = groups[-1][0]
+    lam = [np.zeros(root.shape)]
+    lam[0][_READOUT] = 2.0 * (root[_READOUT].real - labels) / labels.size
     env = np.empty(U.shape, complex)
     for depth in range(len(U) - 1, 0, -1):
-        T = built[depth]
-        bond = T.shape[-1]
-        lam = lam.reshape(T.shape[:3] + (4, bond))  # [L, (b b'), R]
-        # H[(p p' q q'), (b b')]
-        H = _mul(T.reshape(-1, 16, bond), lam.reshape(-1, 4, bond).swapaxes(1, 2)).sum(axis=0)
+        entering = groups[depth - 1]
+        K = _fold(U[depth])
+        H = 0.0  # H[(p p' q q'), (b b')]
+        lam_in = [np.empty_like(g) for g in entering]
+        for T, g, ((a, i), (b, j)) in zip(built[depth], lam, _plan(entering)):
+            R = T.shape[-1]
+            g = g.reshape(T.shape[:3] + (4, R))  # [L, (b b'), R]
+            H = H + _mul(T.reshape(-1, 16, R), g.reshape(-1, 4, R).swapaxes(1, 2)).sum(axis=0)
+            left, right = entering[a][:, i], entering[b][:, j]
+            lm, rm = _matrices(left, right)
+            lam_T = (K.T @ g).reshape(lm.shape[:3] + (rm.shape[-1],))  # [(L p p'), (q q' R)]
+            lam_in[a][:, i] = (lam_T @ rm.swapaxes(-1, -2)).reshape(left.shape)
+            lam_in[b][:, j] = (lm.swapaxes(-1, -2) @ lam_T).reshape(right.shape)
         U4 = U[depth].reshape(2, 2, 2, 2)
         env[depth] = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
-        entering = segments[depth - 1]
-        left, right = _halves(entering)
-        lam_T = (_fold(U[depth]).T @ lam).reshape(left.shape[:2] + (4 * bond, 4 * bond))
-        lam = np.empty_like(entering)
-        lam[:, 0::2] = (lam_T @ right.swapaxes(-1, -2)).reshape(lam[:, 0::2].shape)
-        lam[:, 1::2] = (left.swapaxes(-1, -2) @ lam_T).reshape(lam[:, 1::2].shape)
-    env[0] = _ket_environment(*built[0], lam)
+        lam = lam_in
+    env[0] = _first_environment(built[0], lam)
     return env

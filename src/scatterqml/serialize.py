@@ -103,13 +103,26 @@ def _decode_tuple(key, value):
     return tuple(_decode_float(key, v) for v in value)
 
 
+def _optional(decode):
+    """`decode`, with JSON null passed through as None."""
+    return lambda key, value: None if value is None else decode(key, value)
+
+
+def _decode_str(key, value):
+    """A JSON string; numbers, bools and lists are refused."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 # How a field is rebuilt from its JSON value and its name, by its annotation
-# string; a field whose annotation is not listed (dicts, optional scalars) is
-# taken as is.
+# string; a field whose annotation is not listed (dicts) is taken as is.
 _FIELD_DECODERS = {
     "tuple": _decode_tuple,
     "int": _decode_int,
     "float": _decode_float,
+    "float | None": _optional(_decode_float),
+    "str | None": _optional(_decode_str),
     "np.ndarray": lambda key, v: np.array(v),
     "PcaModel": lambda key, v: _from_record(PcaModel, v),
 }

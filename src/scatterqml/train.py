@@ -106,7 +106,14 @@ class QcnnClassifier(_Classifier):
         TPE (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
         statevectors.  The tree's first layer forms its two-site kets from
         the site tensors on every call (under 1% of a forward), so the
-        site tensors stay its only input."""
+        site tensors stay its only input.
+
+        With the chain's edges trimmed from the tree, HEE at 4 and 8 qubits
+        is still faster on statevectors (one BLAS thread, 2-vCPU x86_64):
+        gradients take 0.52 ms on statevectors against 0.53 ms on the tree
+        at 4 qubits and 32 rows, 0.66 against 1.79 ms at 168 rows; at 8
+        qubits, 2.0 against 3.1 ms at 32 rows and 7.7 against 12.5 ms at
+        168 rows."""
         n, kind = self.model.n_qubits, self.model.encoding
         if BOND[kind] ** 6 < 1 << n:
             return sites(angles, n, kind)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scatterqml.dataset import SweepConfig, run_sweep
+from scatterqml.dataset import SweepConfig, desk_sweep_config, run_sweep
 
 
 def tiny_sweep_config() -> SweepConfig:
@@ -25,6 +25,12 @@ def tiny_sweep_config() -> SweepConfig:
 @pytest.fixture(scope="session")
 def tiny_events():
     return run_sweep(tiny_sweep_config(), workers=4)
+
+
+@pytest.fixture(scope="session")
+def desk_events():
+    """The 210 N=12 events of the default desk sweep."""
+    return run_sweep(desk_sweep_config())
 
 
 @pytest.fixture(scope="session")

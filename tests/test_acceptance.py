@@ -16,7 +16,6 @@ import pytest
 from scatterqml.dataset import (
     SweepConfig,
     build_dataset,
-    desk_sweep_config,
     run_sweep,
 )
 from scatterqml.circuits import encode
@@ -264,9 +263,8 @@ def test_criterion_6_structural_contracts():
 
 
 @pytest.fixture(scope="module")
-def desk_dataset():
-    events = run_sweep(desk_sweep_config())
-    return build_dataset(events)
+def desk_dataset(desk_events):
+    return build_dataset(desk_events)
 
 
 def test_criterion_7_desk_scale_orderings(desk_dataset):

@@ -255,12 +255,13 @@ def test_tree_matches_statevector(case):
 
 @pytest.mark.parametrize("kind", ["hee", "tpe"])
 def test_tree_matches_statevector_at_16_qubits(kind):
-    rng = np.random.default_rng(16)
     model = QcnnModel.random(16, kind, 23)
-    angles = rng.uniform(0, np.pi, size=(3, 16))
-    dp, dg = _tree_vs_statevector(model, angles, np.array([0.0, 1.0, 1.0]))
-    assert dp < 1e-12
-    assert dg < 1e-10
+    for rows in (1, 3):
+        rng = np.random.default_rng(16)
+        angles = rng.uniform(0, np.pi, size=(rows, 16))
+        dp, dg = _tree_vs_statevector(model, angles, np.array([0.0, 1.0, 1.0])[:rows])
+        assert dp < 1e-12
+        assert dg < 1e-10
 
 
 def test_tree_rejects_a_site_batch_of_the_wrong_width():
@@ -279,6 +280,12 @@ def test_tree_rejects_a_site_batch_not_shaped_chi_2_chi(shape):
             run(np.zeros(shape))
 
 
+# the first-layer entries the tree keeps: its first segment at left bond
+# (0, 0), the interior, and its last segment at right bond (0, 0)
+_KEPT = [(slice(None), slice(0, 1), slice(0, 1)), (slice(None), slice(1, -1)),
+         (slice(None), slice(-1, None), Ellipsis, slice(0, 1))]
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("kind", ["hee", "tpe"])
 def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
@@ -286,8 +293,31 @@ def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
     A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
     _, U = qcnn._layers(QcnnModel.random(16, kind, rows))
     T, expect = outer_product_first_layer(U[0], A)
-    (X, Y), segments = next(qcnn._tree(U, A))
-    assert np.abs(segments - expect).max() < 1e-13
-    lam = rng.normal(size=expect.shape) + 1j * rng.normal(size=expect.shape)
-    env = qcnn._ket_environment(X, Y, lam)
+    kets, groups = next(qcnn._tree(U, A))
+    assert len(groups) == len(_KEPT)
+    for group, kept in zip(groups, _KEPT):
+        assert group.shape == expect[kept].shape
+        assert np.abs(group - expect[kept]).max() < 1e-13
+    # an adjoint on the kept entries only, zero on the ones the tree drops
+    lam = np.zeros(expect.shape, complex)
+    for kept in _KEPT:
+        lam[kept] = rng.normal(size=lam[kept].shape) + 1j * rng.normal(size=lam[kept].shape)
+    env = qcnn._first_environment(kets, [lam[kept] for kept in _KEPT])
     assert np.abs(env - outer_product_first_environment(U[0], T, lam)).max() < 1e-13
+
+
+def test_tree_reads_only_boundary_bond_zero_like_the_statevector():
+    """Random site tensors whose boundary bond entries are all nonzero: the
+    tree and circuits.statevector both read only boundary index 0, so the
+    two paths still agree."""
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(3, 16, 4, 2, 4))
+    assert np.all(A[:, 0, 1:] != 0) and np.all(A[:, -1, ..., 1:] != 0)
+    A[:, 0] /= np.linalg.norm(circuits.statevector(A), axis=1)[:, None, None, None]
+    state = circuits.statevector(A)
+    assert np.abs(np.linalg.norm(state, axis=1) - 1.0).max() < 1e-12
+    model = QcnnModel.random(16, "hee", 29)
+    labels = np.array([1.0, 0.0, 1.0])
+    assert np.abs(qcnn_forward(model, A) - qcnn_forward(model, state)).max() < 1e-12
+    dg = adjoint_gradient(model, A, labels) - adjoint_gradient(model, state, labels)
+    assert np.abs(dg).max() < 1e-10

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from scatterqml.dataset import build_dataset
+from scatterqml.dataset import build_dataset, desk_sweep_config
 from scatterqml.serialize import (
     SCHEMA_VERSION,
     SerializeError,
@@ -35,6 +35,39 @@ def test_events_round_trip(tiny_events, tmp_path):
         assert np.array_equal(a.density_image, b.density_image)
         assert np.array_equal(a.entropy_traces, b.entropy_traces)
         assert a.t_star == b.t_star and a.delta_s_mid == b.delta_s_mid
+
+
+@pytest.mark.parametrize("sweep", ["tiny", "desk"])
+def test_events_file_loads_and_saves_back_unchanged(request, tmp_path, sweep):
+    cfg = tiny_sweep_config() if sweep == "tiny" else desk_sweep_config()
+    events = request.getfixturevalue(f"{sweep}_events")
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_events(p1, cfg, events)
+    cfg2, events2 = load_events(p1)
+    assert cfg2 == cfg
+    for a, b in zip(events, events2, strict=True):
+        assert type(a.t_star) is type(b.t_star) and a.t_star == b.t_star
+        assert type(a.delta_s_mid) is type(b.delta_s_mid) and a.delta_s_mid == b.delta_s_mid
+        assert a.error == b.error
+    save_events(p2, cfg2, events2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [(key, value) for key in ("t_star", "delta_s_mid") for value in (True, "x", "0.5", [0.5])]
+    + [("error", value) for value in (1, True, 0.5, ["x"])],
+)
+def test_event_with_a_wrongly_typed_optional_field_is_rejected(tiny_events, tmp_path, key, value):
+    path = tmp_path / "events.jsonl"
+    save_events(path, tiny_sweep_config(), tiny_events)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[key] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SerializeError, match=f"{path} line 3: {key} must be a "):
+        load_events(path)
 
 
 def test_events_write_is_byte_identical(tiny_events, tmp_path):
