@@ -49,33 +49,24 @@ def main():
     anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
-    vac_mid = [entanglement_entropy(sector, vacuum, c) for c in (N // 2 - 1, N // 2)]
-    density_rows, entropy_rows = [], []
+    vac_profile = entanglement_entropy(sector, vacuum)  # one entropy per cut
+    density_rows, excess_rows = [], []
     print("\n  t    excess density (sites 0..11)         dS_mid")
     for t, psi in trajectory(ham, psi0, TIMES):
         d = excess_density(sector, psi, vacuum)
-        s_mid = 0.5 * sum(
-            entanglement_entropy(sector, psi, c) - v
-            for c, v in zip((N // 2 - 1, N // 2), vac_mid)
-        )
+        excess = entanglement_entropy(sector, psi) - vac_profile
         density_rows.append(d)
-        entropy_rows.append(
-            [entanglement_entropy(sector, psi, c) for c in range(1, N)]
-        )
+        excess_rows.append(excess)
         if len(density_rows) % 4 == 0:
             row = "".join(shade(x, -0.35, 0.35) for x in d)
-            print(f"{t:5.1f}   [{row}]   {s_mid:6.3f}")
+            print(f"{t:5.1f}   [{row}]   {central_excess_entropy(excess):6.3f}")
 
     row = separation_row(np.array(density_rows))
     if row is None:
         print("\nthe packets do not separate within the recorded times")
     else:
         print(f"\nseparation time t* = {TIMES[row]}")
-        vac_trace = np.array(
-            [entanglement_entropy(sector, vacuum, c) for c in range(1, N)]
-        )
-        excess = np.array(entropy_rows[row]) - vac_trace
-        print(f"central excess entropy at t*: {central_excess_entropy(excess):.4f}")
+        print(f"central excess entropy at t*: {central_excess_entropy(excess_rows[row]):.4f}")
 
 
 if __name__ == "__main__":

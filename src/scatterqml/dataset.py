@@ -233,9 +233,7 @@ def _run_group(args):
     vacuum, _ = ground_state(ham)
     modes = free_modes(model)
     vac_density = site_densities(basis, vacuum)
-    vac_entropies = np.array(
-        [entanglement_entropy(basis, vacuum, cut) for cut in range(1, config.sites)]
-    )
+    vac_entropies = entanglement_entropy(basis, vacuum)
     pos_c, pos_d = config.packet_positions
     times = config.times
     # one buffer serves every chunk, so a finished chunk is not kept alive
@@ -263,10 +261,7 @@ def _run_group(args):
                     row[:] = next(steps)[1]
                 rows = slice(start, start + len(stack))
                 density_image[rows] = site_densities(basis, stack) - vac_density
-                for cut in range(1, config.sites):
-                    entropy_traces[rows, cut - 1] = (
-                        entanglement_entropy(basis, stack, cut) - vac_entropies[cut - 1]
-                    )
+                entropy_traces[rows] = entanglement_entropy(basis, stack) - vac_entropies
             event = ScatteringEvent(params, density_image, entropy_traces)
             row = separation_row(density_image)
             if row is not None:

@@ -16,7 +16,6 @@ amplitudes; no operator or state is ever built on the full 2^N space.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,7 +89,6 @@ class Sector:
     sites: int
     particles: int
     states: np.ndarray = field(repr=False)  # ascending bitstrings; position = rank
-    _blocks: dict = field(default_factory=dict, init=False, repr=False)  # cut -> tables
 
     @property
     def dimension(self) -> int:
@@ -105,29 +103,14 @@ class Sector:
         """(sites, dimension) matrix: entry (n, i) is the occupation of site n in state i."""
         return ((self.states >> np.arange(self.sites)[:, None]) & 1).astype(float)
 
-    def schmidt_blocks(self, cut: int) -> list[np.ndarray]:
-        """Rank tables of the Schmidt-matrix blocks for the cut after site cut-1.
-
-        The Schmidt matrix of a sector state, (right sites) x (left sites
-        {0..cut-1}), is block-diagonal in the left particle number.  Ranks
-        ascend in (right bits, left bits), so the states with a given left
-        particle number already form their block's (right, left) grid in
-        row-major order.  Each grid is transposed to have no more rows than
-        columns (the Schmidt values are unchanged, and the Gram matrix M M^dag
-        is the smaller one) and grids of equal shape are stacked, so the Gram
-        eigenvalues of each table come batched over a chunk of times.  Built
-        once per cut.
-        """
-        if cut not in self._blocks:
-            left_count = np.bitwise_count(self.states & ((1 << cut) - 1))
-            stacks = {}
-            for n in np.unique(left_count):
-                grid = np.flatnonzero(left_count == n).reshape(-1, math.comb(cut, n))
-                if grid.shape[0] > grid.shape[1]:
-                    grid = grid.T
-                stacks.setdefault(grid.shape, []).append(grid)
-            self._blocks[cut] = [np.stack(grids) for grids in stacks.values()]
-        return self._blocks[cut]
+    @functools.cached_property
+    def mirror(self) -> np.ndarray:
+        """Ranks of the site-mirrored basis states: ``state[sector.mirror]`` is
+        the state with site n moved to site sites-1-n."""
+        mirrored = np.zeros_like(self.states)
+        for n in range(self.sites):
+            mirrored |= ((self.states >> n) & 1) << (self.sites - 1 - n)
+        return self.index(mirrored)
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,6 +150,21 @@ def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> Non
             fh.write(_dumps(dataclasses.asdict(ev)) + "\n")
 
 
+def _check_event_arrays(event: ScatteringEvent, config: SweepConfig) -> None:
+    """Refuse an event whose arrays are not real, finite and shaped by the
+    sweep: one row per recorded time, one column per site or per cut."""
+    rows = len(config.times)
+    for key, shape in (
+        ("density_image", (rows, config.sites)),
+        ("entropy_traces", (rows, config.sites - 1)),
+    ):
+        value = getattr(event, key)
+        if value.shape != shape:
+            raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
+        if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+            raise ValueError(f"{key} must hold real, finite numbers")
+
+
 def load_events(path):
     """Read an event file; returns (SweepConfig, list of ScatteringEvent)."""
     with open(path) as fh:
@@ -168,6 +183,7 @@ def load_events(path):
         d = _parse(line, where)
         with _fields(where):
             events.append(_from_record(ScatteringEvent, d))
+            _check_event_arrays(events[-1], config)
     if len(events) != count:
         raise SerializeError(f"{path} declares {count} events but holds {len(events)}")
     return config, events

@@ -5,9 +5,10 @@ the full 2^N space and deliberately avoids the package's own code paths:
 operators are assembled from explicit Kronecker products, evolution uses a
 dense matrix exponential, entropies come from a full outer-product partial
 trace, and the free-field references use the single-particle correlation
-matrix.  ``svd_entanglement_entropy`` keeps the per-state SVD of the
-Schmidt blocks as the reference for the package's Gram eigenvalues batched
-over states.  The package works on particle-number sectors; ``embed`` places a
+matrix.  ``svd_entanglement_entropy`` keeps its own per-cut Schmidt block
+tables (``schmidt_blocks``) and one SVD per block, the reference for the
+package's entropy profile (one middle-cut Gram, then a partial-trace
+chain).  The package works on particle-number sectors; ``embed`` places a
 sector state into the full space (at the basis states the package's
 ``Sector`` lists) so that it can be compared with these references.  The
 circuit references own their gates: ``Gate``, the rotations ``rx``/``ry``/
@@ -25,13 +26,14 @@ a config mapping back to file text for the round-trip tests, and
 ``load_model`` reads back the checkpoints the CLI writes.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from scatterqml.circuits import CNOT, CircuitError, apply_unitary, z_expectation
-from scatterqml.observables import ObservableError, entanglement_entropy
+from scatterqml.observables import ObservableError
 from scatterqml.qcnn import PARAMS_PER_CONV, PARAMS_PER_LAYER, PARAMS_PER_POOL
 from scatterqml.serialize import _fields, _load_record
 
@@ -194,13 +196,33 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(vals * np.log(vals)))
 
 
+def schmidt_blocks(sector, cut: int) -> list[np.ndarray]:
+    """Rank tables of the Schmidt-matrix blocks for the cut after site cut-1.
+
+    The Schmidt matrix of a sector state, (right sites) x (left sites
+    {0..cut-1}), is block-diagonal in the left particle number.  Ranks
+    ascend in (right bits, left bits), so the states with a given left
+    particle number form their block's (right, left) grid in row-major
+    order.  Each grid is transposed to have no more rows than columns, and
+    grids of equal shape are stacked into one table.
+    """
+    left_count = np.bitwise_count(sector.states & ((1 << cut) - 1))
+    stacks = {}
+    for n in np.unique(left_count):
+        grid = np.flatnonzero(left_count == n).reshape(-1, math.comb(cut, n))
+        if grid.shape[0] > grid.shape[1]:
+            grid = grid.T
+        stacks.setdefault(grid.shape, []).append(grid)
+    return [np.stack(grids) for grids in stacks.values()]
+
+
 def svd_entanglement_entropy(sector, state: np.ndarray, cut: int) -> float:
     """Entropy of sites {0..cut-1} of one sector state from the singular values
     of its Schmidt blocks, one SVD per block table."""
     svals = np.concatenate(
         [
             np.linalg.svd(state[ranks], compute_uv=False).ravel()
-            for ranks in sector.schmidt_blocks(cut)
+            for ranks in schmidt_blocks(sector, cut)
         ]
     )
     p = svals**2
@@ -209,9 +231,10 @@ def svd_entanglement_entropy(sector, state: np.ndarray, cut: int) -> float:
 
 
 def entropy_profile(sector, state: np.ndarray, vacuum_entropies: np.ndarray) -> np.ndarray:
-    """Excess entropy at every cut 1..N-1 given precomputed vacuum entropies."""
+    """Excess entropy at every cut 1..N-1 given precomputed vacuum entropies,
+    one per-cut SVD each."""
     return np.array(
-        [entanglement_entropy(sector, state, cut) for cut in range(1, sector.sites)]
+        [svd_entanglement_entropy(sector, state, cut) for cut in range(1, sector.sites)]
     ) - np.asarray(vacuum_entropies)
 
 

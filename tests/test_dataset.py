@@ -314,7 +314,7 @@ def test_time_chunks_match_per_time_observables():
     densities, entropies = [], []
     for _, psi in trajectory(ham, psi0, times):
         densities.append(site_densities(sector, psi) - site_densities(sector, vacuum))
-        entropies.append([excess_entropy(sector, psi, vacuum, cut) for cut in range(1, 8)])
+        entropies.append(excess_entropy(sector, psi, vacuum))
     assert np.abs(event.density_image - densities).max() < 1e-13
     assert np.abs(event.entropy_traces - entropies).max() < 1e-13
 
@@ -432,7 +432,7 @@ def test_sweep_records_physics_errors_and_raises_programming_errors(monkeypatch)
     with pytest.raises(TypeError, match="bad argument"):
         run_sweep(_one_lattice_config(), workers=1)
 
-    # a wrong state shape or cut is a programming error, not a physics failure
+    # a wrong state shape is a programming error, not a physics failure
     def misshapen(*args, **kwargs):
         raise ObservableError("state has shape (3,)")
 

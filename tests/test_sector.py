@@ -17,6 +17,7 @@ from oracles import (
     dense_hamiltonian,
     dense_site_densities,
     embed,
+    schmidt_blocks,
     sector_indices,
     site_annihilator,
 )
@@ -73,15 +74,16 @@ def test_sector_observables_match_dense_oracles(rng, sites):
     psi = _random_state(rng, sector)
     full = embed(sector, psi)
     assert np.abs(site_densities(sector, psi) - dense_site_densities(sites, full)).max() < 1e-12
+    profile = entanglement_entropy(sector, psi)
     for cut in range(1, sites):
-        assert abs(entanglement_entropy(sector, psi, cut) - dense_entropy(full, cut)) < 1e-10
+        assert abs(profile[cut - 1] - dense_entropy(full, cut)) < 1e-10
 
 
 @pytest.mark.parametrize("sites", SIZES)
 def test_schmidt_blocks_partition_the_sector(sites):
     sector = number_sector(sites, sites // 2)
     for cut in range(1, sites):
-        stacks = sector.schmidt_blocks(cut)
+        stacks = schmidt_blocks(sector, cut)
         ranks = np.concatenate([stack.ravel() for stack in stacks])
         assert np.array_equal(np.sort(ranks), np.arange(sector.dimension))
         for grid in (grid for stack in stacks for grid in stack):
@@ -93,3 +95,14 @@ def test_schmidt_blocks_partition_the_sector(sites):
             if not np.all(right == right[:, :1]):
                 left, right = right, left
             assert np.all(right == right[:, :1]) and np.all(left == left[:1, :])
+
+
+@pytest.mark.parametrize("sites, particles", [(4, 2), (7, 3), (8, 4)])
+def test_mirror_reverses_the_sites(rng, sites, particles):
+    sector = number_sector(sites, particles)
+    assert np.array_equal(np.sort(sector.mirror), np.arange(sector.dimension))
+    assert np.array_equal(sector.mirror[sector.mirror], np.arange(sector.dimension))
+    psi = _random_state(rng, sector)
+    mirrored = embed(sector, psi[sector.mirror]).reshape((2,) * sites)
+    # the axes of the full-space tensor run from site sites-1 down to site 0
+    assert np.array_equal(mirrored, embed(sector, psi).reshape((2,) * sites).transpose())

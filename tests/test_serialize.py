@@ -70,6 +70,47 @@ def test_event_with_a_wrongly_typed_optional_field_is_rejected(tiny_events, tmp_
         load_events(path)
 
 
+def _row_short(record):
+    record["density_image"].pop()
+
+
+def _column_narrow(record):
+    for row in record["entropy_traces"]:
+        row.pop()
+
+
+def _not_numbers(record):
+    record["density_image"] = "abc"
+
+
+def _nan_entropy(record):
+    record["entropy_traces"][3][2] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "corrupt,detail",
+    [
+        (_row_short, r"density_image has shape \(31, 8\), expected \(32, 8\)"),
+        (_column_narrow, r"entropy_traces has shape \(32, 6\), expected \(32, 7\)"),
+        (_not_numbers, r"density_image has shape \(\), expected \(32, 8\)"),
+        (_nan_entropy, "entropy_traces must hold real, finite numbers"),
+    ],
+    ids=["density-row-short", "entropy-column-narrow", "density-string", "entropy-nan"],
+)
+def test_event_with_misshapen_or_non_finite_arrays_is_rejected(
+    tiny_events, tmp_path, corrupt, detail
+):
+    path = tmp_path / "events.jsonl"
+    save_events(path, tiny_sweep_config(), tiny_events)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    corrupt(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SerializeError, match=f"{path} line 3: {detail}"):
+        load_events(path)
+
+
 def test_events_write_is_byte_identical(tiny_events, tmp_path):
     cfg = tiny_sweep_config()
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
