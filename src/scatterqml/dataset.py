@@ -182,11 +182,15 @@ def desk_sweep_config() -> SweepConfig:
     )
 
 
+# the grid point of an event, by name
+PARAMETER_KEYS = ("mass", "coupling", "fermion_momentum", "antifermion_momentum")
+
+
 @dataclass
 class ScatteringEvent:
     """One grid point's trajectory; its recorded times are SweepConfig.times."""
 
-    parameters: dict  # mass, coupling, fermion_momentum, antifermion_momentum
+    parameters: dict  # its grid point, by PARAMETER_KEYS
     density_image: np.ndarray  # (timeSteps, N)
     entropy_traces: np.ndarray  # (timeSteps, N-1)
     t_star: float | None = None
@@ -242,12 +246,7 @@ def _run_group(args):
 
     events = []
     for kc, kd in pairs:
-        params = {
-            "mass": mass,
-            "coupling": coupling,
-            "fermion_momentum": kc,
-            "antifermion_momentum": kd,
-        }
+        params = dict(zip(PARAMETER_KEYS, (mass, coupling, kc, kd)))
         try:
             fer = WavepacketSpec("fermion", pos_c, kc, config.momentum_width)
             anti = WavepacketSpec("antifermion", pos_d, kd, config.momentum_width)

@@ -34,38 +34,55 @@ qcnn_forward and adjoint_gradient take either form of encoded batch
   the gradient is an adjoint sweep back through the blocks.
 * (batch, n, chi, 2, chi) site tensors: a pooled qubit is never touched
   again, so the circuit is a tree over contiguous segments of sites (Grant
-  et al., npj Quantum Inf. 4, 65, 2018).  A segment carries one active
-  qubit and traces out the rest: S[(l l'), x, x', (r r')], its ket and bra
-  bonds to the left and right neighbours around the active qubit's density
-  matrix, stored (batch, k, L, 2, 2, R) with k segments side by side.  A
-  merge takes a left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to
-  one batched matmul over their shared bond pair M with no transposed copy,
-  then applies U . U^dagger and the trace over the pooled qubit as one 4x16
-  matrix K.  The gradient runs the same layers in reverse.
+  et al., npj Quantum Inf. 4, 65, 2018).  The first two layers work on
+  kets, with every pooled qubit kept as a purification index; the layers
+  above them on density segments.
+
+  Layer 1: each site pair gives the two-site ket X[l, (p q), r] (one
+  batched matmul) and the block acts on it as Y = U X, (batch, k, l, 4, r),
+  a being the pooled qubit of (a b).  Layer 2 merges neighbouring kets over
+  their shared bond m, X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
+  Y'[m, (a' b'), r] (one batched matmul, _ket_merge), applies its block to
+  (b b') as Y = U X, and only then forms the density segment, summed over
+  its pooled qubit c and the purification e = (a a'):
+  S[(l l'), d, d', (r r')] = sum Y[l, e, (c d), r] conj Y[l', e, (c d'), r']
+  (_ket_segments).
+
+  From layer 3 on, a segment carries one active qubit and traces out the
+  rest: S[(l l'), x, x', (r r')], its ket and bra bonds to the left and
+  right neighbours around the active qubit's density matrix, stored
+  (batch, k, L, 2, 2, R) with k segments side by side.  A merge takes a
+  left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to one batched
+  matmul over their shared bond pair M with no transposed copy, then
+  applies U . U^dagger and the trace over the pooled qubit as one 4x16
+  matrix K.
 
   The chain's outer bonds are trivial: circuits.sites (and
   circuits.statevector) use only bond index 0 left of the first site and
   right of the last one, and a segment's outer bond index passes unchanged
   up to the root.  So every layer, the first included, holds three groups
-  of segments (_edges): the left edge at L = (0, 0) only, the batched
-  interior at L = R = chi^2, and the right edge at R = (0, 0) only.  An
-  edge merges with its interior neighbour, the rest of the interior merges
+  of kets or segments (_edges): the left edge at bond 0 only, the batched
+  interior at full bonds, and the right edge at bond 0 only.  An edge
+  merges with its interior neighbour, the rest of the interior merges
   pairwise, and the root, the readout qubit's density matrix at
-  (batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).  An
-  interior merge costs 16 chi^6 multiplications per sample and an edge
-  merge 16 chi^4 or less.  Above the first layer there are
-  n/2 - 2 log2(n) + 2 interior merges (2 at 16 qubits, none at 4 and 8)
-  and 2 log2(n) - 3 edge merges, against n/2 - 1 full merges without the
-  edges.  The cost per sample stays O(n chi^6), rather than O(n 2^n).
+  (batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).
 
-  The first layer's input is still pure, so it works on kets: each site
-  pair gives the two-site ket X[l, (p q), r] (one batched matmul), the
-  block acts on it as Y = U X, and the segment is
-  S[(l l'), b, b', (r r')] = sum_a Y[l, (a b), r] conj Y[l', (a b'), r'],
-  about 8 chi^4 multiplications per pair instead of a 16-wide outer
-  product folded by K (about 80 chi^4).  With Lam the adjoint of these
-  segments, its environment is env[(a b), (p q)] = sum Z[l, (a b), r]
-  X[l, (p q), r] with Z = Lam . conj Y.
+  Above the first layer there are n/2 - 2 log2(n) + 2 interior merges (2 at
+  16 qubits, none at 4 and 8), all of them in layer 2 at these widths, and
+  2 log2(n) - 3 edge merges.  A layer-2 interior merge on kets costs about
+  32 chi^4 + 16 chi^3 + 64 chi^2 multiplications per sample (about 10k at
+  chi = 4), against 16 chi^6 + 64 chi^4 (about 82k) for merging and
+  folding density segments; an edge merge costs 16 chi^4 or less.  So no
+  full-bond density merge is left, and the cost per sample is O(n chi^4)
+  at these widths, rather than O(n 2^n).
+
+  The gradient runs the same layers in reverse.  Above layer 2, the
+  adjoint Lam of a layer's output segments is carried back through K and
+  the merge products.  At layer 2 it becomes the kets' adjoint
+  Z = Lam . conj Y (_ket_adjoint); the block's environment is
+  env[(c d), (b b')] = sum Z[.., (c d), ..] X[.., (b b'), ..], and U^T Z is
+  carried back through the merge (_ket_merge_adjoint) to the first layer's
+  kets, whose environment is the same sum of their adjoint and X.
 
 train.QcnnClassifier picks the form: site tensors where chi^6 < 2^n (TPE at
 every width, HEE at 16 qubits), statevectors for HEE at 4 and 8 qubits,
@@ -279,9 +296,9 @@ def _merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _edges(x: np.ndarray) -> list:
-    """A layer's segments (batch, s, L, ..., R) as groups: the first segment
-    at left bond 0 only, the interior, and the last at right bond 0 only
-    (no interior when s = 2).  The root reads only those bond entries."""
+    """A layer's kets or segments (batch, s, L, ..., R) as groups: the first
+    at left bond 0 only, the interior, and the last at right bond 0 only (no
+    interior when s = 2).  The root reads only those bond entries."""
     groups = [x[:, :1, :1], x[:, 1:-1], x[:, -1:, ..., :1]]
     return groups if x.shape[1] > 2 else groups[::2]
 
@@ -290,11 +307,11 @@ _ALL = slice(None)
 
 
 def _plan(groups: list) -> list:
-    """The merges of a layer whose segments come in these groups (_edges),
-    one per group leaving it, each as the (group, segment slice) of its left
-    and its right operand.  Two edges merge into the root; otherwise each
-    edge merges with its interior neighbour and the rest of the interior
-    pairwise."""
+    """The merges of a layer whose kets or segments come in these groups
+    (_edges), one per group leaving it, each as the (group, segment slice)
+    of its left and its right operand.  Two edges merge into the root;
+    otherwise each edge merges with its interior neighbour and the rest of
+    the interior pairwise."""
     if len(groups) == 2:
         return [((0, _ALL), (1, _ALL))]
     plan = [((0, _ALL), (1, slice(0, 1)))]
@@ -313,38 +330,62 @@ def _pair_kets(sites: np.ndarray) -> np.ndarray:
     return X.reshape(batch, n // 2, chi, 4, chi)
 
 
+def _ket_merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Second-layer kets X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
+    Y'[m, (a' b'), r] of first-layer kets (batch, k, l, 4, m) and
+    (batch, k, m, 4, r), one batched matmul: the pooled qubits a a' stay as
+    a purification index e = (a a') and the kept qubits b b' are the second
+    block's input, (batch, k, l, 4, 4, r)."""
+    batch, k, l, _, m = left.shape
+    r = right.shape[-1]
+    X = left.reshape(batch, k, 4 * l, m) @ right.reshape(batch, k, m, 4 * r)
+    X = X.reshape(batch, k, l, 2, 2, 2, 2, r).transpose(0, 1, 2, 3, 5, 4, 6, 7)
+    return X.reshape(batch, k, l, 4, 4, r)
+
+
+def _ket_merge_adjoint(W: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """The adjoints of _ket_merge's operands, given W the adjoint of its
+    output: W[L, R] right[m, R] and left[L, m] W[L, R] summed over R and L,
+    with L = (l a b) and R = (a' b' r)."""
+    batch, k, l, _, m = left.shape
+    r = right.shape[-1]
+    W = W.reshape(batch, k, l, 2, 2, 2, 2, r).transpose(0, 1, 2, 3, 5, 4, 6, 7)
+    W = W.reshape(batch, k, 4 * l, 4 * r)
+    lm, rm = left.reshape(batch, k, 4 * l, m), right.reshape(batch, k, m, 4 * r)
+    left_in, right_in = W @ rm.swapaxes(-1, -2), lm.swapaxes(-1, -2) @ W
+    return left_in.reshape(left.shape), right_in.reshape(right.shape)
+
+
 def _ket_segments(Y: np.ndarray) -> np.ndarray:
-    """First-layer segments S[(l l'), b, b', (r r')] = sum_a Y[l, (a b), r]
-    conj Y[l', (a b'), r'] of the kets Y = U X, (batch, s, l, 4, r), as one
-    batched product of M[a, (l b r)] with its conjugate."""
-    batch, s, l, _, r = Y.shape
-    M = Y.reshape(batch, s, l, 2, 2, r).transpose(0, 1, 3, 2, 4, 5)
-    M = M.reshape(batch, s, 2, 2 * l * r)
+    """Second-layer segments S[(l l'), d, d', (r r')] = sum over e and c of
+    Y[l, e, (c d), r] conj Y[l', e, (c d'), r'] of the kets Y = U X,
+    (batch, s, l, e, 4, r), as one batched product of M[(e c), (l d r)] with
+    its conjugate."""
+    batch, s, l, e, _, r = Y.shape
+    M = Y.reshape(batch, s, l, e, 2, 2, r).transpose(0, 1, 3, 4, 2, 5, 6)
+    M = M.reshape(batch, s, 2 * e, 2 * l * r)
     S = (M.swapaxes(-1, -2) @ M.conj()).reshape(batch, s, l, 2, r, l, 2, r)
     return S.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(batch, s, l * l, 2, 2, r * r)
 
 
-def _ket_environment(X: np.ndarray, Y: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The first layer's environment env[(a b), (p q)] = sum Z[l, (a b), r]
-    X[l, (p q), r] over the batch, the pairs and the bonds, where
-    Z[l, (a b), r] = sum Lam[(l l'), b, b', (r r')] conj Y[l', (a b'), r']
-    and Lam is the adjoint of the segments _ket_segments(Y)."""
-    batch, s, l, _, r = X.shape
+def _ket_adjoint(Y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The adjoint Z[l, e, (c d), r] = sum Lam[(l l'), d, d', (r r')]
+    conj Y[l', e, (c d'), r'] of the kets Y, where Lam is the adjoint of the
+    segments _ket_segments(Y)."""
+    batch, s, l, e, _, r = Y.shape
     width = 2 * l * r
-    # Lam[(l b r), (l' b' r')] and conj Y[(l' b' r'), a]
+    # Lam[(l d r), (l' d' r')] and conj Y[(l' d' r'), (e c)]
     lam = lam.reshape(batch, s, l, l, 2, 2, r, r).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-    Yc = Y.reshape(batch, s, l, 2, 2, r).transpose(0, 1, 2, 4, 5, 3).conj()
-    Z = (lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, 2)).reshape(
-        batch, s, l, 2, r, 2
-    )
-    # [(a b), (batch s l r)] @ [(batch s l r), (p q)]
-    return _mul(Z.transpose(5, 3, 0, 1, 2, 4).reshape(4, -1), X.swapaxes(-1, -2).reshape(-1, 4))
+    Yc = Y.reshape(batch, s, l, e, 2, 2, r).transpose(0, 1, 2, 5, 6, 3, 4).conj()
+    Z = lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, 2 * e)
+    return Z.reshape(batch, s, l, 2, r, e, 2).transpose(0, 1, 2, 5, 6, 3, 4).reshape(Y.shape)
 
 
-def _first_environment(kets: list, lam: list) -> np.ndarray:
-    """The first layer's environment, summed over its segment groups: kets
-    holds each group's (X, Y) and lam its segments' adjoint."""
-    return sum(_ket_environment(X, Y, g) for (X, Y), g in zip(kets, lam))
+def _ket_environment(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A ket layer's environment env[(c d), (p q)] = sum Z[..., (c d), r]
+    X[..., (p q), r] over the batch, the segments and every other index, for
+    the kets Y = U X with adjoint Z."""
+    return _mul(Z.swapaxes(-1, -2).reshape(-1, 4).T, X.swapaxes(-1, -2).reshape(-1, 4))
 
 
 # |1><1| of the readout qubit in the root segment, at the boundary bonds
@@ -352,16 +393,21 @@ _READOUT = (slice(None), 0, 0, 1, 1, 0)
 
 
 def _tree(U: np.ndarray, sites: np.ndarray):
-    """Yield, layer by layer, what the layer's segments are built from and
-    the groups of segments leaving the layer (_edges), each
-    (batch, k, L, 2, 2, R): at the first layer each group's pair kets X and
-    Y = U X, after it the merged T of each group (_plan).  The last layer
-    leaves the root, (batch, 1, 1, 2, 2, 1), whose _READOUT entry is p."""
+    """Yield, layer by layer, what the layer's output is built from and the
+    groups leaving the layer (_edges): at the first layer the pair kets X of
+    each group and the kets U X leaving it, (batch, k, l, 4, r); at the
+    second the merged kets X and Y = U X of each merge (_plan) and the
+    segments leaving it; after it the merged T of each merge and its
+    segments, each (batch, k, L, 2, 2, R).  The last layer leaves the root,
+    (batch, 1, 1, 2, 2, 1), whose _READOUT entry is p."""
     X = _pair_kets(sites)
-    kets = list(zip(_edges(X), _edges(_mul(U[0], X))))
-    groups = [_ket_segments(Y) for _, Y in kets]
-    yield kets, groups
-    for block in U[1:]:
+    groups = _edges(_mul(U[0], X))
+    yield _edges(X), groups
+    X = [_ket_merge(groups[a][:, i], groups[b][:, j]) for (a, i), (b, j) in _plan(groups)]
+    Y = [U[1] @ x for x in X]
+    groups = [_ket_segments(y) for y in Y]
+    yield list(zip(X, Y)), groups
+    for block in U[2:]:
         K = _fold(block)
         T = [_merge(groups[a][:, i], groups[b][:, j]) for (a, i), (b, j) in _plan(groups)]
         groups = [(K @ t).reshape(t.shape[:3] + (2, 2, t.shape[-1])) for t in T]
@@ -431,13 +477,13 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
 
     Site tensors: the adjoint Lam of a layer's output segments, with
     dL = sum(Lam * d segments), starts as dL/dp on the root's _READOUT entry.
-    Above the first layer, with H[(p p' q q'), (b b')] = sum of
+    Above the second layer, with H[(p p' q q'), (b b')] = sum of
     T[L, (p p' q q'), R] Lam[L, (b b'), R] over the bonds and every merge of
     the batch, a layer's environment is
     env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')],
     and Lam is carried back through K and the merge products to the
-    segments entering the layer.  The first layer's environment comes from
-    its kets (_ket_environment).
+    segments entering the layer.  The first two layers' environments come
+    from their kets (_ket_environments).
     """
     states = np.atleast_2d(states)
     _check_width(model, states)
@@ -471,7 +517,7 @@ def _tree_environments(U, sites, labels) -> np.ndarray:
     lam = [np.zeros(root.shape)]
     lam[0][_READOUT] = 2.0 * (root[_READOUT].real - labels) / labels.size
     env = np.empty(U.shape, complex)
-    for depth in range(len(U) - 1, 0, -1):
+    for depth in range(len(U) - 1, 1, -1):
         entering = groups[depth - 1]
         K = _fold(U[depth])
         H = 0.0  # H[(p p' q q'), (b b')]
@@ -488,5 +534,22 @@ def _tree_environments(U, sites, labels) -> np.ndarray:
         U4 = U[depth].reshape(2, 2, 2, 2)
         env[depth] = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
         lam = lam_in
-    env[0] = _first_environment(built[0], lam)
+    env[:2] = _ket_environments(U, built[:2], groups[0], lam)
+    return env
+
+
+def _ket_environments(U, built, kets, lam) -> np.ndarray:
+    """The environments (2, 4, 4) of the two ket layers, from what _tree
+    built them of, the first layer's kets and lam, the adjoint of the second
+    layer's segments: Z = Lam . conj Y of the second layer's kets is carried
+    back through U and the merges (_ket_merge_adjoint) to the first layer's
+    kets."""
+    env = np.zeros((2, 4, 4), complex)
+    Z = [np.empty_like(y) for y in kets]
+    for (X, Y), g, ((a, i), (b, j)) in zip(built[1], lam, _plan(kets)):
+        z = _ket_adjoint(Y, g)
+        env[1] += _ket_environment(X, z)
+        Z[a][:, i], Z[b][:, j] = _ket_merge_adjoint(U[1].T @ z, kets[a][:, i], kets[b][:, j])
+    for X, z in zip(built[0], Z):
+        env[0] += _ket_environment(X, z)
     return env

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .dataset import PcaModel, ProcessedDataset, ScatteringEvent, SweepConfig
+from .dataset import PARAMETER_KEYS, PcaModel, ProcessedDataset, ScatteringEvent, SweepConfig
 from .train import ExperimentReport
 
 SCHEMA_VERSION = 2
@@ -150,9 +150,11 @@ def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> Non
             fh.write(_dumps(dataclasses.asdict(ev)) + "\n")
 
 
-def _check_event_arrays(event: ScatteringEvent, config: SweepConfig) -> None:
+def _check_event(event: ScatteringEvent, config: SweepConfig, times: set) -> None:
     """Refuse an event whose arrays are not real, finite and shaped by the
-    sweep: one row per recorded time, one column per site or per cut."""
+    sweep (one row per recorded time, one column per site or per cut), whose
+    t_star is not one of the recorded `times`, or whose parameters are not
+    the four grid keys, each a number."""
     rows = len(config.times)
     for key, shape in (
         ("density_image", (rows, config.sites)),
@@ -163,6 +165,13 @@ def _check_event_arrays(event: ScatteringEvent, config: SweepConfig) -> None:
             raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
         if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
             raise ValueError(f"{key} must hold real, finite numbers")
+    if event.t_star is not None and event.t_star not in times:
+        raise ValueError(f"t_star {event.t_star!r} is not a recorded time of the sweep")
+    parameters = event.parameters
+    if not isinstance(parameters, dict) or set(parameters) != set(PARAMETER_KEYS):
+        raise ValueError(f"parameters must hold the keys {PARAMETER_KEYS}, got {parameters!r}")
+    for key in PARAMETER_KEYS:
+        _decode_float(f"parameters[{key!r}]", parameters[key])
 
 
 def load_events(path):
@@ -177,13 +186,14 @@ def load_events(path):
     with _fields(where):
         config = _from_record(SweepConfig, header["config"])
         count = _decode_int("count", header["count"])
+    times = set(config.times.tolist())
     events = []
     for lineno, line in enumerate(lines[1:], 2):
         where = f"{path} line {lineno}"
         d = _parse(line, where)
         with _fields(where):
             events.append(_from_record(ScatteringEvent, d))
-            _check_event_arrays(events[-1], config)
+            _check_event(events[-1], config, times)
     if len(events) != count:
         raise SerializeError(f"{path} declares {count} events but holds {len(events)}")
     return config, events

@@ -10,7 +10,7 @@ import numpy as np
 from .circuits import BOND, encode, sites
 from .cnn import INPUT_DIM as CNN_INPUT_DIM
 from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
-from .dataset import ProcessedDataset, ordered_map
+from .dataset import ProcessedDataset, ordered_map, single_threaded_blas
 from .qcnn import QcnnModel, adjoint_gradient, qcnn_forward
 
 # Adam moment decay rates and denominator guard
@@ -101,19 +101,18 @@ class QcnnClassifier(_Classifier):
 
     def prepare(self, angles):
         """Encoding carries no trainable weights, so states are computed once:
-        site tensors, evaluated as a tree, where a tree merge (about chi^6
-        operations) is cheaper than a statevector block (about 2^n), which is
-        TPE (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
+        site tensors, evaluated as a tree, where chi^6 < 2^n, which is TPE
+        (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
         statevectors.  The tree's first layer forms its two-site kets from
         the site tensors on every call (under 1% of a forward), so the
         site tensors stay its only input.
 
-        With the chain's edges trimmed from the tree, HEE at 4 and 8 qubits
-        is still faster on statevectors (one BLAS thread, 2-vCPU x86_64):
-        gradients take 0.52 ms on statevectors against 0.53 ms on the tree
-        at 4 qubits and 32 rows, 0.66 against 1.79 ms at 168 rows; at 8
-        qubits, 2.0 against 3.1 ms at 32 rows and 7.7 against 12.5 ms at
-        168 rows."""
+        Gradients with one BLAS thread on a 2-vCPU x86_64 box, statevector
+        against tree: HEE at 4 qubits 0.60 against 0.50 ms at 32 rows and
+        0.83 against 1.07 ms at 168 rows.  HEE at 8 qubits has no interior
+        merge, but its first two tree layers run on kets, and it now takes
+        2.95 against 1.81 ms at 32 rows and 14.2 against 5.5 ms at 168 rows:
+        the rule still picks statevectors there (ROADMAP item 15)."""
         n, kind = self.model.n_qubits, self.model.encoding
         if BOND[kind] ** 6 < 1 << n:
             return sites(angles, n, kind)
@@ -175,37 +174,42 @@ class RunResult:
 
 
 def train(dataset: ProcessedDataset, config: TrainConfig, seed: int) -> RunResult:
-    """Seeded minibatch Adam training; deterministic given (dataset, config, seed)."""
+    """Seeded minibatch Adam training; deterministic given (dataset, config, seed).
+
+    Runs on one BLAS thread (single_threaded_blas), as it does inside
+    ordered_map: the models' small products are slower multithreaded, and the
+    result does not depend on OPENBLAS_NUM_THREADS.  The train and test rows
+    are prepared together once and evaluated in one forward per epoch."""
     X_train, y_train = dataset.train
     X_test, y_test = dataset.test
     if config.batch_size > len(y_train):
         raise TrainError("batch size exceeds the training set")
 
     clf = make_classifier(config.model, seed)
-    S_train = clf.prepare(X_train)
-    S_test = clf.prepare(X_test)
     y_train = y_train.astype(float)
-
     rng = np.random.default_rng(seed)
     state = AdamState.zeros(len(clf.params))
     losses, train_accs, test_accs = [], [], []
     n = len(y_train)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = clf.gradient_prepared(S_train[batch], y_train[batch])
-            clf.params, state = adam_step(clf.params, grads, state, config)
-        p_train = clf.predict_prepared(S_train)
-        loss = mse_loss(p_train, y_train)
-        if not np.isfinite(loss):
-            raise TrainError(
-                f"non-finite loss at epoch {epoch} "
-                f"(parameter norm {np.linalg.norm(clf.params):.3e})"
-            )
-        losses.append(loss)
-        train_accs.append(accuracy(p_train, y_train))
-        test_accs.append(accuracy(clf.predict_prepared(S_test), y_test))
+    with single_threaded_blas():
+        S = clf.prepare(np.concatenate([X_train, X_test]))
+        S_train = S[:n]
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                grads = clf.gradient_prepared(S_train[batch], y_train[batch])
+                clf.params, state = adam_step(clf.params, grads, state, config)
+            p = clf.predict_prepared(S)
+            loss = mse_loss(p[:n], y_train)
+            if not np.isfinite(loss):
+                raise TrainError(
+                    f"non-finite loss at epoch {epoch} "
+                    f"(parameter norm {np.linalg.norm(clf.params):.3e})"
+                )
+            losses.append(loss)
+            train_accs.append(accuracy(p[:n], y_train))
+            test_accs.append(accuracy(p[n:], y_test))
     return RunResult(
         train_loss=losses,
         train_accuracy=train_accs,

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from scatterqml import dataset
 from scatterqml.dataset import SweepConfig, desk_sweep_config, run_sweep
 
 
@@ -36,3 +37,16 @@ def desk_events():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Each bundled OpenBLAS copy on two threads for the test, then as before."""
+    controls = dataset._blas_thread_controls()
+    assert controls, "no OpenBLAS thread control found: the pin would do nothing"
+    saved = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield [get_threads() for get_threads, _ in controls]
+    for (_, set_threads), count in zip(controls, saved):
+        set_threads(count)

@@ -18,12 +18,14 @@ the package's layer table (``qcnn.LAYER``) that they check, and simulated one
 gate at a time; ``tpe4_density_probability`` runs a 4-qubit QCNN on TPE
 inputs by hand with 2x2 and 4x4 density matrices;
 ``outer_product_first_layer`` keeps the tree's first layer as an outer
-product of two-site tensors folded by a 4x16 matrix, the reference for the
-package's ket-first layer; ``parameter_shift_gradient`` runs every shifted
-program as one batch and ``serial_parameter_shift_gradient`` one program
-per shift.  ``format_config`` renders
-a config mapping back to file text for the round-trip tests, and
-``load_model`` reads back the checkpoints the CLI writes.
+product of two-site tensors folded by a 4x16 matrix, and
+``density_second_layer`` merges its density segments pairwise and folds
+them again, the reference for the package's two ket layers;
+``parameter_shift_gradient`` runs every shifted program as one batch and
+``serial_parameter_shift_gradient`` one program per shift.
+``format_config`` renders a config mapping back to file text for the
+round-trip tests, and ``load_model`` reads back the checkpoints the CLI
+writes.
 """
 
 import math
@@ -536,22 +538,26 @@ def tpe4_density_probability(model, angles):
     return np.array(probabilities)
 
 
+def fold(U):
+    """U rho U^dagger and the trace over the pooled qubit a as one 4x16 matrix
+    K[(b b'), (p p' q q')] = sum_a U[(a b), (p q)] conj U[(a b'), (p' q')]."""
+    U4 = U.reshape(2, 2, 2, 2)
+    return np.einsum("abpq,acrs->bcprqs", U4, U4.conj()).reshape(4, 16)
+
+
 def outer_product_first_layer(U, sites):
     """The QCNN tree's first layer by the outer-product route.
 
     With the two-site tensor X[l, p, q, r] = sum_m A[l, p, m] A'[m, q, r] of
     each site pair, its real outer product
     T[(l l'), (p p' q q'), (r r')] = X[l, p, q, r] X[l', p', q', r'] is
-    folded by K[(b b'), (p p' q q')] = sum_a U[(a b), (p q)] conj U[(a b'), (p' q')]
-    into the segments K T, (batch, n/2, chi^2, 2, 2, chi^2).  Returns
-    (T, segments).
+    folded by K = fold(U) into the segments K T,
+    (batch, n/2, chi^2, 2, 2, chi^2).  Returns (T, segments).
     """
     X = np.einsum("xslpm,xsmqr->xslpqr", sites[:, 0::2], sites[:, 1::2])
     batch, s, chi = X.shape[:3]
     T = np.einsum("xslpqr,xsmuvt->xslmpuqvrt", X, X).reshape(batch, s, chi * chi, 16, chi * chi)
-    U4 = U.reshape(2, 2, 2, 2)
-    K = np.einsum("abpq,acrs->bcprqs", U4, U4.conj()).reshape(4, 16)
-    segments = np.einsum("kj,xsljr->xslkr", K, T)
+    segments = np.einsum("kj,xsljr->xslkr", fold(U), T)
     return T, segments.reshape(batch, s, chi * chi, 2, 2, chi * chi)
 
 
@@ -560,10 +566,42 @@ def outer_product_first_environment(U, T, lam):
     and the adjoint lam of its segments:
     env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')] with
     H = sum of T[L, (p p' q q'), R] lam[L, (b b'), R] over the bonds, pairs
-    and batch."""
+    and batch.  It serves any layer whose input T is folded by K = fold(U)."""
     H = np.einsum("xsljr,xslkr->jk", T, lam.reshape(T.shape[:3] + (4, T.shape[-1])))
     U4 = U.reshape(2, 2, 2, 2)
     return np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
+
+
+def density_second_layer(U, segments):
+    """The QCNN tree's second layer by the density route, from the first
+    layer's segments (batch, n/2, L, 2, 2, L) at every bond: each
+    neighbouring pair merges over its shared bond pair M into
+    T[L, (p p' q q'), R] = sum_M S[L, p, p', M] S'[M, q, q', R], folded by
+    K = fold(U) into the segments K T, (batch, n/4, L, 2, 2, R).  Returns
+    (T, segments)."""
+    T = np.einsum("xslpum,xsmqvr->xslpuqvr", segments[:, 0::2], segments[:, 1::2])
+    batch, s, L, R = T.shape[0], T.shape[1], T.shape[2], T.shape[-1]
+    T = T.reshape(batch, s, L, 16, R)
+    return T, np.einsum("kj,xsljr->xslkr", fold(U), T).reshape(batch, s, L, 2, 2, R)
+
+
+def density_first_two_environments(U, T1, segments, T2, lam):
+    """The 4x4 environments (2, 4, 4) of the first two layers by the density
+    route, from T1 of outer_product_first_layer, the first layer's segments,
+    T2 of density_second_layer and lam, the adjoint of the second layer's
+    segments.  lam is carried back through K and the merge, K^T lam = G and
+    G[L, (p p'), (q q'), R] summed with the right operand over (q q' R) and
+    with the left one over (L p p'), to the first layer's segments."""
+    batch, s, L, _, R = T2.shape
+    G = np.einsum("kj,xslkr->xsljr", fold(U[1]), lam.reshape(batch, s, L, 4, R))
+    G = G.reshape(batch, s, L, 2, 2, 2, 2, R)
+    lam_first = np.empty(segments.shape, complex)
+    lam_first[:, 0::2] = np.einsum("xslpuqvr,xsmqvr->xslpum", G, segments[:, 1::2])
+    lam_first[:, 1::2] = np.einsum("xslpuqvr,xslpum->xsmqvr", G, segments[:, 0::2])
+    return np.array([
+        outer_product_first_environment(U[0], T1, lam_first),
+        outer_product_first_environment(U[1], T2, lam),
+    ])
 
 
 def serial_parameter_shift_gradient(model, states, labels):

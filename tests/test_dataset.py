@@ -225,19 +225,6 @@ def _failing_task(_task):
     raise ValueError("task failed")
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Each bundled OpenBLAS copy on two threads for the test, then as before."""
-    controls = dataset._blas_thread_controls()
-    assert controls, "no OpenBLAS thread control found: the pin would do nothing"
-    saved = _blas_thread_counts()
-    for _, set_threads in controls:
-        set_threads(2)
-    yield _blas_thread_counts()
-    for (_, set_threads), count in zip(controls, saved):
-        set_threads(count)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ordered_map_runs_tasks_on_one_blas_thread_and_restores_the_count(
     two_blas_threads, workers

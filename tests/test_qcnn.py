@@ -27,6 +27,8 @@ from oracles import (
     conv_block,
     conv_block_gates,
     count_parameters,
+    density_first_two_environments,
+    density_second_layer,
     finite_difference_gradient,
     gate_adjoint_gradient,
     gate_forward,
@@ -286,24 +288,58 @@ _KEPT = [(slice(None), slice(0, 1), slice(0, 1)), (slice(None), slice(1, -1)),
          (slice(None), slice(-1, None), Ellipsis, slice(0, 1))]
 
 
+def _random_adjoint(rng, shape):
+    """An adjoint on the kept entries only, zero on the ones the tree drops."""
+    lam = np.zeros(shape, complex)
+    for kept in _KEPT:
+        lam[kept] = rng.normal(size=lam[kept].shape) + 1j * rng.normal(size=lam[kept].shape)
+    return lam
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("kind", ["hee", "tpe"])
 def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
+    """The first layer's kets, read as segments sum_a Y conj Y (a trivial
+    purification index), against the outer-product route."""
     rng = np.random.default_rng(rows)
     A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
     _, U = qcnn._layers(QcnnModel.random(16, kind, rows))
     T, expect = outer_product_first_layer(U[0], A)
-    kets, groups = next(qcnn._tree(U, A))
+    X, Y = next(qcnn._tree(U, A))
+    kets = [y[:, :, :, None] for y in Y]
+    assert len(kets) == len(_KEPT)
+    for ket, kept in zip(kets, _KEPT):
+        group = qcnn._ket_segments(ket)
+        assert group.shape == expect[kept].shape
+        assert np.abs(group - expect[kept]).max() < 1e-13
+    lam = _random_adjoint(rng, expect.shape)
+    env = sum(
+        qcnn._ket_environment(x, qcnn._ket_adjoint(ket, lam[kept]))
+        for x, ket, kept in zip(X, kets, _KEPT)
+    )
+    assert np.abs(env - outer_product_first_environment(U[0], T, lam)).max() < 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("kind", ["hee", "tpe"])
+def test_ket_second_layer_matches_the_density_route(kind, rows):
+    """The second layer's segments from merged kets, and both ket layers'
+    environments, against pairwise merged and folded density segments."""
+    rng = np.random.default_rng(10 + rows)
+    A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
+    _, U = qcnn._layers(QcnnModel.random(16, kind, 10 + rows))
+    T1, first = outer_product_first_layer(U[0], A)
+    T2, expect = density_second_layer(U[1], first)
+    tree = qcnn._tree(U, A)
+    built = [next(tree), next(tree)]
+    (_, kets), (_, groups) = built
     assert len(groups) == len(_KEPT)
     for group, kept in zip(groups, _KEPT):
         assert group.shape == expect[kept].shape
         assert np.abs(group - expect[kept]).max() < 1e-13
-    # an adjoint on the kept entries only, zero on the ones the tree drops
-    lam = np.zeros(expect.shape, complex)
-    for kept in _KEPT:
-        lam[kept] = rng.normal(size=lam[kept].shape) + 1j * rng.normal(size=lam[kept].shape)
-    env = qcnn._first_environment(kets, [lam[kept] for kept in _KEPT])
-    assert np.abs(env - outer_product_first_environment(U[0], T, lam)).max() < 1e-13
+    lam = _random_adjoint(rng, expect.shape)
+    env = qcnn._ket_environments(U, [b for b, _ in built], kets, [lam[kept] for kept in _KEPT])
+    assert np.abs(env - density_first_two_environments(U, T1, first, T2, lam)).max() < 1e-13
 
 
 def test_tree_reads_only_boundary_bond_zero_like_the_statevector():

@@ -87,6 +87,30 @@ def _nan_entropy(record):
     record["entropy_traces"][3][2] = float("nan")
 
 
+def _t_star_off_the_grid(record):
+    record["t_star"] = record["t_star"] + 0.25
+
+
+def _parameters_a_number(record):
+    record["parameters"] = 0.5
+
+
+def _parameters_missing_a_key(record):
+    del record["parameters"]["coupling"]
+
+
+def _parameters_with_an_extra_key(record):
+    record["parameters"]["time_step"] = 0.5
+
+
+def _parameter_a_bool(record):
+    record["parameters"]["mass"] = True
+
+
+def _parameter_a_string(record):
+    record["parameters"]["fermion_momentum"] = "0.9"
+
+
 @pytest.mark.parametrize(
     "corrupt,detail",
     [
@@ -94,8 +118,18 @@ def _nan_entropy(record):
         (_column_narrow, r"entropy_traces has shape \(32, 6\), expected \(32, 7\)"),
         (_not_numbers, r"density_image has shape \(\), expected \(32, 8\)"),
         (_nan_entropy, "entropy_traces must hold real, finite numbers"),
+        (_t_star_off_the_grid, r"t_star \d+\.\d+ is not a recorded time of the sweep"),
+        (_parameters_a_number, "parameters must hold the keys"),
+        (_parameters_missing_a_key, "parameters must hold the keys"),
+        (_parameters_with_an_extra_key, "parameters must hold the keys"),
+        (_parameter_a_bool, r"parameters\['mass'\] must be a number, got True"),
+        (_parameter_a_string, r"parameters\['fermion_momentum'\] must be a number, got '0.9'"),
     ],
-    ids=["density-row-short", "entropy-column-narrow", "density-string", "entropy-nan"],
+    ids=[
+        "density-row-short", "entropy-column-narrow", "density-string", "entropy-nan",
+        "t-star-off-grid", "parameters-number", "parameters-missing-key",
+        "parameters-extra-key", "parameter-bool", "parameter-string",
+    ],
 )
 def test_event_with_misshapen_or_non_finite_arrays_is_rejected(
     tiny_events, tmp_path, corrupt, detail

@@ -1,8 +1,11 @@
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from scatterqml import dataset
+from scatterqml import train as train_module
 from scatterqml.dataset import PcaModel, ProcessedDataset
 from scatterqml.train import (
     AdamState,
@@ -97,6 +100,61 @@ def test_training_is_deterministic():
     assert np.array_equal(r1.final_params, r2.final_params)
     r3 = train(ds, config, seed=8)
     assert not np.array_equal(r1.final_params, r3.final_params)
+
+
+def _blas_counts():
+    return [get_threads() for get_threads, _ in dataset._blas_thread_controls()]
+
+
+def _recording_gradients(monkeypatch, seen, nan):
+    """Make train's classifiers record each copy's BLAS thread count at every
+    gradient (and return a NaN gradient if asked)."""
+    make = train_module.make_classifier
+
+    def recording(name, seed):
+        clf = make(name, seed)
+        gradient = clf.gradient_prepared
+
+        def recorded(states, labels):
+            seen.append(_blas_counts())
+            return np.full(clf.params.shape, np.nan) if nan else gradient(states, labels)
+
+        clf.gradient_prepared = recorded
+        return clf
+
+    monkeypatch.setattr(train_module, "make_classifier", recording)
+
+
+@pytest.mark.parametrize("model", ["cnn51", "qcnn4-tpe"])
+def test_train_runs_on_one_blas_thread_and_restores_the_count(
+    two_blas_threads, monkeypatch, model
+):
+    """Also when a NaN gradient ends the run in a TrainError."""
+    ds = synthetic_dataset(seed=3, n=60)
+    config = TrainConfig(model=model, epochs=2, batch_size=16)
+    for nan in (False, True):
+        seen = []
+        _recording_gradients(monkeypatch, seen, nan)
+        ends = pytest.raises(TrainError, match="non-finite loss") if nan else nullcontext()
+        with ends:
+            train(ds, config, seed=0)
+        assert seen and all(counts == [1] * len(two_blas_threads) for counts in seen)
+        assert _blas_counts() == two_blas_threads
+
+
+def test_train_evaluates_train_and_test_rows_in_one_forward_like_two():
+    ds = synthetic_dataset(seed=5, n=80)
+    for model in ("cnn51", "qcnn4-hee", "qcnn4-tpe"):
+        result = train(ds, TrainConfig(model=model, epochs=2, batch_size=16), seed=1)
+        clf = make_classifier(model, 1)
+        clf.params = result.final_params
+        (X_train, y_train), (X_test, y_test) = ds.train, ds.test
+        with dataset.single_threaded_blas():
+            p_train = clf.predict_prepared(clf.prepare(X_train))
+            p_test = clf.predict_prepared(clf.prepare(X_test))
+        assert result.train_loss[-1] == mse_loss(p_train, y_train.astype(float))
+        assert result.train_accuracy[-1] == accuracy(p_train, y_train)
+        assert result.test_accuracy[-1] == accuracy(p_test, y_test)
 
 
 def test_batch_size_guard():
