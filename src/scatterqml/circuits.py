@@ -1,18 +1,18 @@
-"""Minimal batched circuit simulator and data encodings.
+"""Data encodings as matrix product states, and a batched statevector
+helper.
 
-An encoded batch comes in one of two forms.  `sites` returns real site
-tensors of shape (batch, n, chi, 2, chi), a matrix product state per sample:
-chi = 1 for TPE (a product state) and chi = 4 for HEE, whose two CNOT chains
-are prefix-XOR maps of the bits and so leave an exact bond of 4.  qcnn
-evaluates a site batch as a tree.  `statevector` contracts site tensors to
-real states of shape (batch, 2**n), qubit q stored in bit q of the basis
-index; `encode` is the two in one.  On statevectors, a 2^k x 2^k unitary is
-applied to k qubits of a whole batch at once by tensor contraction
-(apply_unitary); pair_environment contracts two batches over everything
-outside a qubit pair into the pair's 4x4 environment matrix, from which qcnn
-reads its parameter derivatives; the first complex block makes a real state
-complex.  Gate-by-gate simulation, the gate lists of the encodings and the
-parameter-shift rule are test oracles only (tests/oracles.py).
+`sites` encodes a batch of angle vectors as real site tensors of shape
+(batch, n, chi, 2, chi), a matrix product state per sample: chi = 1 for TPE
+(a product state) and chi = 4 for HEE, whose two CNOT chains are
+prefix-XOR maps of the bits and so leave an exact bond of 4.  These site
+tensors are the only input qcnn takes; it evaluates them as a tree.
+`statevector` contracts site tensors to real states of shape (batch, 2**n),
+qubit q stored in bit q of the basis index, and `encode` is the two in one;
+apply_unitary applies a 2^k x 2^k unitary to k qubits of a whole batch of
+such states by tensor contraction.  No classifier uses these three: they
+serve the test oracles (tests/oracles.py), which simulate the encodings and
+the classifier gate by gate on statevectors and hold the parameter-shift
+rule.
 """
 
 from __future__ import annotations
@@ -41,22 +41,6 @@ def apply_unitary(state: np.ndarray, U: np.ndarray, qubits: tuple) -> np.ndarray
     arr = np.tensordot(Ut, arr, axes=(list(range(k, 2 * k)), axes))
     arr = np.moveaxis(arr, list(range(k)), axes)
     return arr.reshape(batch, dim)
-
-
-def pair_environment(bra: np.ndarray, ket: np.ndarray, qubits: tuple) -> np.ndarray:
-    """4x4 matrix E[i, j] = sum of conj(bra_i) * ket_j over the batch and every
-    qubit outside the pair, with i, j indexing the pair as in apply_unitary."""
-    n = ket.shape[1].bit_length() - 1
-    axes = [1 + (n - 1 - q) for q in qubits]
-    bra, ket = (np.moveaxis(x.reshape((len(x),) + (2,) * n), axes, [0, 1]) for x in (bra, ket))
-    return bra.reshape(4, -1).conj() @ ket.reshape(4, -1).T
-
-
-def z_expectation(state: np.ndarray, qubit: int) -> np.ndarray:
-    """<Z> on one qubit for every state in the batch."""
-    dim = state.shape[1]
-    signs = 1.0 - 2.0 * ((np.arange(dim) >> qubit) & 1)
-    return np.real(np.sum(signs * np.abs(state) ** 2, axis=1))
 
 
 # bond dimension of each encoding's site tensors

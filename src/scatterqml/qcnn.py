@@ -22,71 +22,62 @@ matrices of every layer are built as one (n_layers, 30, 4, 4) stack.
 The pool of a layer acts on the same disjoint pairs as its convolution, and
 blocks on different pairs commute, so "every conv, then every pool" equals
 "conv then pool, pair by pair": each layer is the product U of its LAYER
-steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  Both
-evaluations below reduce each layer to its 4x4 environment, summed over its
-pairs, and then read every parameter derivative of every layer from one
-walk forward through the stacked steps (_layer_gradients).
+steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  The
+gradient reduces each layer to its 4x4 environment, summed over its pairs,
+and then reads every parameter derivative of every layer from one walk
+forward through the stacked steps (_layer_gradients).
 
-qcnn_forward and adjoint_gradient take either form of encoded batch
-(circuits):
+qcnn_forward and adjoint_gradient take an encoded batch as site tensors
+(batch, n, chi, 2, chi) (circuits.sites).  A pooled qubit is never touched
+again, so the circuit is a tree over contiguous segments of sites (Grant et
+al., npj Quantum Inf. 4, 65, 2018).  The first two layers work on kets, with
+every pooled qubit kept as a purification index; the layers above them on
+density segments.
 
-* (batch, 2**n) statevectors: each block is applied to the whole state and
-  the gradient is an adjoint sweep back through the blocks.
-* (batch, n, chi, 2, chi) site tensors: a pooled qubit is never touched
-  again, so the circuit is a tree over contiguous segments of sites (Grant
-  et al., npj Quantum Inf. 4, 65, 2018).  The first two layers work on
-  kets, with every pooled qubit kept as a purification index; the layers
-  above them on density segments.
+Layer 1: each site pair gives the two-site ket X[l, (p q), r] (one
+batched matmul) and the block acts on it as Y = U X, (batch, k, l, 4, r),
+a being the pooled qubit of (a b).  Layer 2 merges neighbouring kets over
+their shared bond m, X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
+Y'[m, (a' b'), r] (one batched matmul, _ket_merge), applies its block to
+(b b') as Y = U X, and only then forms the density segment, summed over
+its pooled qubit c and the purification e = (a a'):
+S[(l l'), d, d', (r r')] = sum Y[l, e, (c d), r] conj Y[l', e, (c d'), r']
+(_ket_segments).
 
-  Layer 1: each site pair gives the two-site ket X[l, (p q), r] (one
-  batched matmul) and the block acts on it as Y = U X, (batch, k, l, 4, r),
-  a being the pooled qubit of (a b).  Layer 2 merges neighbouring kets over
-  their shared bond m, X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
-  Y'[m, (a' b'), r] (one batched matmul, _ket_merge), applies its block to
-  (b b') as Y = U X, and only then forms the density segment, summed over
-  its pooled qubit c and the purification e = (a a'):
-  S[(l l'), d, d', (r r')] = sum Y[l, e, (c d), r] conj Y[l', e, (c d'), r']
-  (_ket_segments).
+From layer 3 on, a segment carries one active qubit and traces out the
+rest: S[(l l'), x, x', (r r')], its ket and bra bonds to the left and
+right neighbours around the active qubit's density matrix, stored
+(batch, k, L, 2, 2, R) with k segments side by side.  A merge takes a
+left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to one batched
+matmul over their shared bond pair M with no transposed copy, then
+applies U . U^dagger and the trace over the pooled qubit as one 4x16
+matrix K.
 
-  From layer 3 on, a segment carries one active qubit and traces out the
-  rest: S[(l l'), x, x', (r r')], its ket and bra bonds to the left and
-  right neighbours around the active qubit's density matrix, stored
-  (batch, k, L, 2, 2, R) with k segments side by side.  A merge takes a
-  left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to one batched
-  matmul over their shared bond pair M with no transposed copy, then
-  applies U . U^dagger and the trace over the pooled qubit as one 4x16
-  matrix K.
+The chain's outer bonds are trivial: circuits.sites uses only bond index
+0 left of the first site and right of the last one, and a segment's outer
+bond index passes unchanged up to the root.  So every layer, the first
+included, holds three groups of kets or segments (_edges): the left edge at bond 0 only, the batched
+interior at full bonds, and the right edge at bond 0 only.  An edge
+merges with its interior neighbour, the rest of the interior merges
+pairwise, and the root, the readout qubit's density matrix at
+(batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).
 
-  The chain's outer bonds are trivial: circuits.sites (and
-  circuits.statevector) use only bond index 0 left of the first site and
-  right of the last one, and a segment's outer bond index passes unchanged
-  up to the root.  So every layer, the first included, holds three groups
-  of kets or segments (_edges): the left edge at bond 0 only, the batched
-  interior at full bonds, and the right edge at bond 0 only.  An edge
-  merges with its interior neighbour, the rest of the interior merges
-  pairwise, and the root, the readout qubit's density matrix at
-  (batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).
+Above the first layer there are n/2 - 2 log2(n) + 2 interior merges (2 at
+16 qubits, none at 4 and 8), all of them in layer 2 at these widths, and
+2 log2(n) - 3 edge merges.  A layer-2 interior merge on kets costs about
+32 chi^4 + 16 chi^3 + 64 chi^2 multiplications per sample (about 10k at
+chi = 4), against 16 chi^6 + 64 chi^4 (about 82k) for merging and
+folding density segments; an edge merge costs 16 chi^4 or less.  So no
+full-bond density merge is left, and the cost per sample is O(n chi^4)
+at these widths, rather than O(n 2^n).
 
-  Above the first layer there are n/2 - 2 log2(n) + 2 interior merges (2 at
-  16 qubits, none at 4 and 8), all of them in layer 2 at these widths, and
-  2 log2(n) - 3 edge merges.  A layer-2 interior merge on kets costs about
-  32 chi^4 + 16 chi^3 + 64 chi^2 multiplications per sample (about 10k at
-  chi = 4), against 16 chi^6 + 64 chi^4 (about 82k) for merging and
-  folding density segments; an edge merge costs 16 chi^4 or less.  So no
-  full-bond density merge is left, and the cost per sample is O(n chi^4)
-  at these widths, rather than O(n 2^n).
-
-  The gradient runs the same layers in reverse.  Above layer 2, the
-  adjoint Lam of a layer's output segments is carried back through K and
-  the merge products.  At layer 2 it becomes the kets' adjoint
-  Z = Lam . conj Y (_ket_adjoint); the block's environment is
-  env[(c d), (b b')] = sum Z[.., (c d), ..] X[.., (b b'), ..], and U^T Z is
-  carried back through the merge (_ket_merge_adjoint) to the first layer's
-  kets, whose environment is the same sum of their adjoint and X.
-
-train.QcnnClassifier picks the form: site tensors where chi^6 < 2^n (TPE at
-every width, HEE at 16 qubits), statevectors for HEE at 4 and 8 qubits,
-where the tree is slower.
+The gradient runs the same layers in reverse.  Above layer 2, the
+adjoint Lam of a layer's output segments is carried back through K and
+the merge products.  At layer 2 it becomes the kets' adjoint
+Z = Lam . conj Y (_ket_adjoint); the block's environment is
+env[(c d), (b b')] = sum Z[.., (c d), ..] X[.., (b b'), ..], and U^T Z is
+carried back through the merge (_ket_merge_adjoint) to the first layer's
+kets, whose environment is the same sum of their adjoint and X.
 """
 
 from __future__ import annotations
@@ -96,13 +87,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import circuits
 from .circuits import (
     CNOT,
     CircuitError,
     encode,  # unused here; perfbench/spans.py patches the name qcnn.encode
-    pair_environment,
-    z_expectation,
 )
 
 HALF_PI = np.pi / 2
@@ -235,30 +223,6 @@ def _layers(model: QcnnModel):
     of every layer, in circuit order."""
     G = step_matrices(model.params.reshape(model.n_layers, PARAMS_PER_LAYER))
     return G, fuse(G)
-
-
-def _pairs(n_qubits: int):
-    """Qubit pairs of every layer and the final readout qubit."""
-    active = list(range(n_qubits))
-    pairs = []
-    while len(active) > 1:
-        pairs.append([(active[i], active[i + 1]) for i in range(0, len(active), 2)])
-        active = [b for _, b in pairs[-1]]
-    return pairs, active[0]
-
-
-def _run(U, pairs, states: np.ndarray) -> np.ndarray:
-    # circuits.apply_unitary is looked up at call time, so a wrapped
-    # (call-counting) apply_unitary sees every block application
-    for block, layer_pairs in zip(U, pairs):
-        for pair in layer_pairs:
-            states = circuits.apply_unitary(states, block, pair)
-    return states
-
-
-def _probability(states: np.ndarray, readout: int) -> np.ndarray:
-    """Class-1 probability p = (1 - <Z>)/2 of the readout qubit."""
-    return 0.5 * (1.0 - z_expectation(states, readout))
 
 
 def _fold(U: np.ndarray) -> np.ndarray:
@@ -433,49 +397,35 @@ def _layer_gradients(G: np.ndarray, U: np.ndarray, env: np.ndarray) -> np.ndarra
     return grad
 
 
-def _check_width(model: QcnnModel, states: np.ndarray) -> None:
+def _check_width(model: QcnnModel, sites: np.ndarray) -> None:
     n = model.n_qubits
-    if states.ndim == 5:
-        chi = states.shape[2]
-        ok = states.shape[1:] == (n, chi, 2, chi)
-    else:
-        ok = states.ndim == 2 and states.shape[1] == 1 << n
-    if not ok:
+    if sites.ndim != 5 or sites.shape[1:] != (n, sites.shape[2], 2, sites.shape[2]):
         raise CircuitError(
-            f"expected (batch, {1 << n}) statevectors or (batch, {n}, chi, 2, chi) "
-            f"site tensors for {n} qubits, got shape {states.shape}"
+            f"expected (batch, {n}, chi, 2, chi) site tensors for {n} qubits, "
+            f"got shape {sites.shape}"
         )
 
 
-def qcnn_forward(model: QcnnModel, states: np.ndarray) -> np.ndarray:
-    """Class-1 probability p = (1 - <Z>)/2 for a batch of encoded states:
-    (batch, 2**n) statevectors or (batch, n, chi, 2, chi) site tensors."""
-    states = np.atleast_2d(states)
-    _check_width(model, states)
+def qcnn_forward(model: QcnnModel, sites: np.ndarray) -> np.ndarray:
+    """Class-1 probability p = (1 - <Z>)/2 of the readout qubit for a batch
+    of (batch, n, chi, 2, chi) site tensors."""
+    _check_width(model, sites)
     _, U = _layers(model)
-    if states.ndim == 2:
-        pairs, readout = _pairs(model.n_qubits)
-        return _probability(_run(U, pairs, states), readout)
-    for _, groups in _tree(U, states):
+    for _, groups in _tree(U, sites):
         pass
     return groups[0][_READOUT].real
 
 
-def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Reverse-pass gradient of the mean squared error.
+def adjoint_gradient(model: QcnnModel, sites: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Reverse-pass gradient of the mean squared error over a batch of site
+    tensors.
 
     Every layer's 4x4 environment, summed over its pairs, is collected
     first; one walk over the stacked layers then gives every parameter
     derivative (_layer_gradients).  Agreement with the parameter-shift
     reference to 1e-8 is asserted in the tests.
 
-    Statevectors: lam = (dL/dp) P1 |psi> starts at the readout projector P1
-    and is carried back through the blocks with psi (Jones & Gacon,
-    arXiv:2009.02823).  At each block application, psi before it and lam
-    after it are contracted over the batch and every other qubit into the
-    block's environment.
-
-    Site tensors: the adjoint Lam of a layer's output segments, with
+    The adjoint Lam of a layer's output segments, with
     dL = sum(Lam * d segments), starts as dL/dp on the root's _READOUT entry.
     Above the second layer, with H[(p p' q q'), (b b')] = sum of
     T[L, (p p' q q'), R] Lam[L, (b b'), R] over the bonds and every merge of
@@ -485,30 +435,10 @@ def adjoint_gradient(model: QcnnModel, states: np.ndarray, labels: np.ndarray) -
     segments entering the layer.  The first two layers' environments come
     from their kets (_ket_environments).
     """
-    states = np.atleast_2d(states)
-    _check_width(model, states)
-    labels = np.asarray(labels, dtype=float)
+    _check_width(model, sites)
     G, U = _layers(model)
-    if states.ndim == 5:
-        env = _tree_environments(U, states, labels)
-    else:
-        env = _statevector_environments(U, states, labels, *_pairs(model.n_qubits))
+    env = _tree_environments(U, sites, np.asarray(labels, dtype=float))
     return _layer_gradients(G, U, env).ravel()
-
-
-def _statevector_environments(U, states, labels, pairs, readout) -> np.ndarray:
-    psi = _run(U, pairs, states)
-    outer = 2.0 * (_probability(psi, readout) - labels) / labels.size
-    projector = (np.arange(psi.shape[1]) >> readout) & 1  # P1 on the readout qubit
-    lam = (outer[:, None] * projector) * psi
-    env = np.zeros(U.shape, complex)
-    for depth in reversed(range(len(U))):
-        Uh = U[depth].conj().T
-        for pair in reversed(pairs[depth]):
-            psi = circuits.apply_unitary(psi, Uh, pair)
-            env[depth] += pair_environment(lam, psi, pair)  # lam after the block, psi before it
-            lam = circuits.apply_unitary(lam, Uh, pair)
-    return env
 
 
 def _tree_environments(U, sites, labels) -> np.ndarray:

@@ -96,6 +96,14 @@ def _decode_float(key, value):
     return float(value)
 
 
+def _decode_finite(key, value):
+    """A JSON number that is neither NaN nor infinite, as a float."""
+    value = _decode_float(key, value)
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def _decode_tuple(key, value):
     """A JSON list of numbers, as a tuple of floats."""
     if not isinstance(value, list):
@@ -115,15 +123,23 @@ def _decode_str(key, value):
     return value
 
 
+def _decode_array(key, value):
+    """A JSON array as numpy reads it; a ragged one is refused by name."""
+    try:
+        return np.array(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a rectangular array, not ragged") from None
+
+
 # How a field is rebuilt from its JSON value and its name, by its annotation
 # string; a field whose annotation is not listed (dicts) is taken as is.
 _FIELD_DECODERS = {
     "tuple": _decode_tuple,
     "int": _decode_int,
     "float": _decode_float,
-    "float | None": _optional(_decode_float),
+    "float | None": _optional(_decode_finite),
     "str | None": _optional(_decode_str),
-    "np.ndarray": lambda key, v: np.array(v),
+    "np.ndarray": _decode_array,
     "PcaModel": lambda key, v: _from_record(PcaModel, v),
 }
 
@@ -154,7 +170,7 @@ def _check_event(event: ScatteringEvent, config: SweepConfig, times: set) -> Non
     """Refuse an event whose arrays are not real, finite and shaped by the
     sweep (one row per recorded time, one column per site or per cut), whose
     t_star is not one of the recorded `times`, or whose parameters are not
-    the four grid keys, each a number."""
+    the four grid keys, each a finite number."""
     rows = len(config.times)
     for key, shape in (
         ("density_image", (rows, config.sites)),
@@ -171,7 +187,7 @@ def _check_event(event: ScatteringEvent, config: SweepConfig, times: set) -> Non
     if not isinstance(parameters, dict) or set(parameters) != set(PARAMETER_KEYS):
         raise ValueError(f"parameters must hold the keys {PARAMETER_KEYS}, got {parameters!r}")
     for key in PARAMETER_KEYS:
-        _decode_float(f"parameters[{key!r}]", parameters[key])
+        _decode_finite(f"parameters[{key!r}]", parameters[key])
 
 
 def load_events(path):

@@ -7,7 +7,10 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import BOND, encode, sites
+from .circuits import (
+    encode,  # unused here; perfbench/spans.py patches the name train.encode
+    sites,
+)
 from .cnn import INPUT_DIM as CNN_INPUT_DIM
 from .cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from .dataset import ProcessedDataset, ordered_map, single_threaded_blas
@@ -100,23 +103,11 @@ class QcnnClassifier(_Classifier):
         self.model = QcnnModel.random(n_qubits, encoding, seed)
 
     def prepare(self, angles):
-        """Encoding carries no trainable weights, so states are computed once:
-        site tensors, evaluated as a tree, where chi^6 < 2^n, which is TPE
-        (chi = 1) at every width and HEE (chi = 4) at 16 qubits; otherwise
-        statevectors.  The tree's first layer forms its two-site kets from
-        the site tensors on every call (under 1% of a forward), so the
-        site tensors stay its only input.
-
-        Gradients with one BLAS thread on a 2-vCPU x86_64 box, statevector
-        against tree: HEE at 4 qubits 0.60 against 0.50 ms at 32 rows and
-        0.83 against 1.07 ms at 168 rows.  HEE at 8 qubits has no interior
-        merge, but its first two tree layers run on kets, and it now takes
-        2.95 against 1.81 ms at 32 rows and 14.2 against 5.5 ms at 168 rows:
-        the rule still picks statevectors there (ROADMAP item 15)."""
-        n, kind = self.model.n_qubits, self.model.encoding
-        if BOND[kind] ** 6 < 1 << n:
-            return sites(angles, n, kind)
-        return encode(angles, n, kind)
+        """Encoding carries no trainable weights, so the site tensors
+        (circuits.sites), the tree's only input, are computed once.  The
+        tree forms its two-site kets from them on every call (under 1% of a
+        forward)."""
+        return sites(angles, self.model.n_qubits, self.model.encoding)
 
     def predict_prepared(self, states):
         return qcnn_forward(self.model, states)

@@ -15,8 +15,10 @@ circuit references own their gates: ``Gate``, the rotations ``rx``/``ry``/
 ``rz`` and the gate lists of the encodings and of the QCNN blocks
 (``conv_block_gates``/``pool_block_gates``) are stated here, independently of
 the package's layer table (``qcnn.LAYER``) that they check, and simulated one
-gate at a time; ``tpe4_density_probability`` runs a 4-qubit QCNN on TPE
-inputs by hand with 2x2 and 4x4 density matrices;
+gate at a time on statevectors, read out by ``z_expectation``; they are the
+reference for the package's tree over site tensors.
+``tpe4_density_probability`` runs a 4-qubit QCNN on TPE inputs by hand with
+2x2 and 4x4 density matrices;
 ``outer_product_first_layer`` keeps the tree's first layer as an outer
 product of two-site tensors folded by a 4x16 matrix, and
 ``density_second_layer`` merges its density segments pairwise and folds
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from scatterqml.circuits import CNOT, CircuitError, apply_unitary, z_expectation
+from scatterqml.circuits import CNOT, CircuitError, apply_unitary
 from scatterqml.observables import ObservableError
 from scatterqml.qcnn import PARAMS_PER_CONV, PARAMS_PER_LAYER, PARAMS_PER_POOL
 from scatterqml.serialize import _fields, _load_record
@@ -402,6 +404,13 @@ def zero_state(n_qubits, batch=1):
     state = np.zeros((batch, 1 << n_qubits), complex)
     state[:, 0] = 1.0
     return state
+
+
+def z_expectation(state, qubit):
+    """<Z> on one qubit for every statevector in the batch."""
+    dim = state.shape[1]
+    signs = 1.0 - 2.0 * ((np.arange(dim) >> qubit) & 1)
+    return np.real(np.sum(signs * np.abs(state) ** 2, axis=1))
 
 
 def count_cnots(gates):

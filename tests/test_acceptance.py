@@ -18,7 +18,7 @@ from scatterqml.dataset import (
     build_dataset,
     run_sweep,
 )
-from scatterqml.circuits import encode
+from scatterqml.circuits import encode, sites
 from scatterqml.cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
 from scatterqml.evolution import evolve, trajectory
 from scatterqml.lattice import (
@@ -206,17 +206,18 @@ def test_criterion_5_gradient_correctness():
             n_qubits=4, encoding="hee",
             params=rng.uniform(-np.pi, np.pi, 48),
         )
-        states = encode(rng.uniform(0, np.pi, size=(2, 4)), 4, "hee")
+        angles = rng.uniform(0, np.pi, size=(2, 4))
+        tree = sites(angles, 4, "hee")
         labels = rng.integers(0, 2, size=2).astype(float)
-        grad = parameter_shift_gradient(model, states, labels)
+        grad = parameter_shift_gradient(model, encode(angles, 4, "hee"), labels)
 
-        def qcnn_loss(params, states=states, labels=labels):
+        def qcnn_loss(params, tree=tree, labels=labels):
             m = QcnnModel(n_qubits=4, encoding="hee", params=params)
-            return float(np.mean((qcnn_forward(m, states) - labels) ** 2))
+            return float(np.mean((qcnn_forward(m, tree) - labels) ** 2))
 
         fd = finite_difference_gradient(qcnn_loss, model.params, 1e-4)
         ok = ok and np.abs(grad - fd).max() < 1e-6
-        ok = ok and np.abs(adjoint_gradient(model, states, labels) - fd).max() < 1e-6
+        ok = ok and np.abs(adjoint_gradient(model, tree, labels) - fd).max() < 1e-6
 
     checked = 0
     while checked < 100:

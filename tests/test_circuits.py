@@ -6,10 +6,8 @@ from scatterqml.circuits import (
     CircuitError,
     apply_unitary,
     encode,
-    pair_environment,
     sites,
     statevector,
-    z_expectation,
 )
 
 from oracles import (
@@ -59,27 +57,6 @@ def test_apply_unitary_batch_consistency(rng):
     for i in range(5):
         single = apply_unitary(states[i : i + 1], U, (0, 2))
         assert np.abs(batched[i] - single[0]).max() < 1e-12
-
-
-def test_pair_environment_matches_unit_matrix_overlaps(rng):
-    # E[i, j] = <bra| (|i><j| on the pair) |ket>, summed over the batch
-    bra = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    ket = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    for qubits in ((0, 2), (2, 0), (1, 0)):
-        env = pair_environment(bra, ket, qubits)
-        for i in range(4):
-            for j in range(4):
-                unit = np.zeros((4, 4))
-                unit[i, j] = 1.0
-                overlap = np.sum(bra.conj() * apply_unitary(ket, unit, qubits))
-                assert abs(env[i, j] - overlap) < 1e-12
-
-
-def test_z_expectation():
-    state = np.zeros((1, 4), complex)
-    state[0, 0b01] = 1.0
-    assert z_expectation(state, 0)[0] == -1.0
-    assert z_expectation(state, 1)[0] == 1.0
 
 
 def test_encoding_structure():

@@ -9,6 +9,7 @@ from oracles import (
     run_program,
     ry,
     serial_parameter_shift_gradient,
+    z_expectation,
     zero_state,
 )
 
@@ -21,6 +22,13 @@ def test_run_program_shift_single_occurrence(rng):
     # only the second occurrence is shifted
     expect = ry(0.3 + np.pi / 2) @ (ry(0.3) @ np.array([1.0, 0.0]))
     assert np.abs(shifted[0] - expect).max() < 1e-14
+
+
+def test_z_expectation():
+    state = np.zeros((1, 4), complex)
+    state[0, 0b01] = 1.0
+    assert z_expectation(state, 0)[0] == -1.0
+    assert z_expectation(state, 1)[0] == 1.0
 
 
 def test_batched_parameter_shift_matches_one_program_per_shift():

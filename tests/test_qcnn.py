@@ -31,6 +31,7 @@ from oracles import (
     density_second_layer,
     finite_difference_gradient,
     gate_adjoint_gradient,
+    gate_encode,
     gate_forward,
     outer_product_first_environment,
     outer_product_first_layer,
@@ -131,16 +132,14 @@ def test_zero_parameters_give_deterministic_readout():
     # at zero parameters every block is the identity (conv) or a fixed
     # rotation-free fragment (pool CNOT), so |0...0> stays a basis state
     model = QcnnModel(n_qubits=4, params=np.zeros(48))
-    state = np.zeros((1, 16), complex)
-    state[0, 0] = 1.0
-    p = qcnn_forward(model, state)
+    p = qcnn_forward(model, sites(np.zeros((1, 4)), 4, "tpe"))  # |0000>
     assert abs(p[0]) < 1e-12  # readout stays |0>
 
 
 def test_forward_probabilities_in_range(rng):
     model = QcnnModel.random(4, "hee", 3)
     angles = rng.uniform(0, np.pi, size=(6, 4))
-    p = qcnn_forward(model, encode(angles, 4, model.encoding))
+    p = qcnn_forward(model, sites(angles, 4, model.encoding))
     assert p.shape == (6,)
     assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
 
@@ -154,20 +153,15 @@ def test_tpe4_matches_density_matrix_oracle(rng):
     swapped = tpe4_density_probability(model, angles[:, [2, 3, 0, 1]])
     assert np.abs(swapped - expect).min() > 1e-3
     assert np.abs(qcnn_forward(model, sites(angles, 4, "tpe")) - expect).max() < 1e-12
-    assert np.abs(qcnn_forward(model, encode(angles, 4, "tpe")) - expect).max() < 1e-12
+    assert np.abs(gate_forward(model, encode(angles, 4, "tpe")) - expect).max() < 1e-12
 
 
 def test_parameter_shift_matches_finite_differences(rng):
     model = QcnnModel.random(4, "hee", 11)
-    states = encode(rng.uniform(0, np.pi, size=(3, 4)), 4, "hee")
+    angles = rng.uniform(0, np.pi, size=(3, 4))
     labels = np.array([0.0, 1.0, 1.0])
-    grad = parameter_shift_gradient(model, states, labels)
-
-    def loss(params):
-        m = QcnnModel(n_qubits=4, encoding="hee", params=params)
-        p = qcnn_forward(m, states)
-        return float(np.mean((p - labels) ** 2))
-
+    grad = parameter_shift_gradient(model, encode(angles, 4, "hee"), labels)
+    loss = _mse(4, "hee", sites(angles, 4, "hee"), labels)
     fd = finite_difference_gradient(loss, model.params, 1e-4)
     assert np.abs(grad - fd).max() < 1e-6
 
@@ -175,13 +169,14 @@ def test_parameter_shift_matches_finite_differences(rng):
 def test_adjoint_agrees_with_parameter_shift(rng):
     for width in (4, 8):
         model = QcnnModel.random(width, "hee", width)
-        states = encode(rng.uniform(0, np.pi, size=(4, width)), width, "tpe")
+        angles = rng.uniform(0, np.pi, size=(4, width))
+        states, tree = encode(angles, width, "tpe"), sites(angles, width, "tpe")
         labels = rng.integers(0, 2, size=4).astype(float)
         ps = parameter_shift_gradient(model, states, labels)
-        adj = adjoint_gradient(model, states, labels)
+        adj = adjoint_gradient(model, tree, labels)
         assert np.abs(ps - adj).max() < 1e-8
         assert np.abs(gate_adjoint_gradient(model, states, labels) - adj).max() < 1e-12
-        fd = finite_difference_gradient(_mse(width, "tpe", states, labels), model.params, 1e-4)
+        fd = finite_difference_gradient(_mse(width, "tpe", tree, labels), model.params, 1e-4)
         assert np.abs(adj - fd).max() < 1e-6
 
 
@@ -189,20 +184,12 @@ def test_adjoint_agrees_with_parameter_shift(rng):
 @pytest.mark.parametrize("width", [4, 8, 16])
 def test_layer_blocks_match_gate_by_gate(rng, width, kind):
     model = QcnnModel.random(width, kind, width)
-    states = encode(rng.uniform(0, np.pi, size=(2, width)), width, kind)
+    angles = rng.uniform(0, np.pi, size=(2, width))
+    states, tree = encode(angles, width, kind), sites(angles, width, kind)
     labels = np.array([0.0, 1.0])
-    assert np.abs(qcnn_forward(model, states) - gate_forward(model, states)).max() < 1e-12
-    adj = adjoint_gradient(model, states, labels)
+    assert np.abs(qcnn_forward(model, tree) - gate_forward(model, states)).max() < 1e-12
+    adj = adjoint_gradient(model, tree, labels)
     assert np.abs(adj - gate_adjoint_gradient(model, states, labels)).max() < 1e-12
-
-
-@pytest.mark.parametrize("width", [4, 8, 16])
-def test_forward_applies_one_block_per_pair_and_layer(monkeypatch, width):
-    calls = []
-    apply = circuits.apply_unitary
-    monkeypatch.setattr(circuits, "apply_unitary", lambda *args: calls.append(1) or apply(*args))
-    qcnn_forward(QcnnModel.random(width, "hee", 0), encode(np.zeros((1, width)), width, "tpe"))
-    assert len(calls) == width - 1  # conv and pool fused into one block per pair
 
 
 def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
@@ -211,12 +198,9 @@ def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
     direction = rng.normal(size=QcnnModel(n_qubits=16).n_parameters)
     direction /= np.linalg.norm(direction)
     step = 1e-4
-    # the statevector and both site-tensor inputs, each against its own loss
-    for kind, states in [
-        ("hee", encode(angles, 16, "hee")),
-        ("hee", sites(angles, 16, "hee")),
-        ("tpe", sites(angles, 16, "tpe")),
-    ]:
+    # both encodings' site tensors, each against its own loss
+    for kind in ("hee", "tpe"):
+        states = sites(angles, 16, kind)
         model = QcnnModel.random(16, kind, 17)
         loss = _mse(16, kind, states, labels)
         fd = (loss(model.params + step * direction) - loss(model.params - step * direction)) / (
@@ -225,14 +209,14 @@ def test_block_gradient_matches_directional_difference_at_16_qubits(rng):
         assert abs(adjoint_gradient(model, states, labels) @ direction - fd) < 1e-6
 
 
-def _tree_vs_statevector(model, angles, labels):
+def _tree_vs_gate_oracle(model, angles, labels):
     """Largest probability and gradient differences between the tree over
-    site tensors and the fused statevector path."""
+    site tensors and the gate-by-gate oracle on the gate-by-gate encoding."""
     tree = sites(angles, model.n_qubits, model.encoding)
-    state = encode(angles, model.n_qubits, model.encoding)
-    dp = np.abs(qcnn_forward(model, tree) - qcnn_forward(model, state)).max()
-    dg = np.abs(adjoint_gradient(model, tree, labels) - adjoint_gradient(model, state, labels))
-    return dp, dg.max()
+    state = gate_encode(angles, model.n_qubits, model.encoding)
+    dp = np.abs(qcnn_forward(model, tree) - gate_forward(model, state)).max()
+    dg = adjoint_gradient(model, tree, labels) - gate_adjoint_gradient(model, state, labels)
+    return dp, np.abs(dg).max()
 
 
 @st.composite
@@ -250,7 +234,7 @@ def circuit_cases(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(circuit_cases())
 def test_tree_matches_statevector(case):
-    dp, dg = _tree_vs_statevector(*case)
+    dp, dg = _tree_vs_gate_oracle(*case)
     assert dp < 1e-12
     assert dg < 1e-10
 
@@ -261,7 +245,7 @@ def test_tree_matches_statevector_at_16_qubits(kind):
     for rows in (1, 3):
         rng = np.random.default_rng(16)
         angles = rng.uniform(0, np.pi, size=(rows, 16))
-        dp, dg = _tree_vs_statevector(model, angles, np.array([0.0, 1.0, 1.0])[:rows])
+        dp, dg = _tree_vs_gate_oracle(model, angles, np.array([0.0, 1.0, 1.0])[:rows])
         assert dp < 1e-12
         assert dg < 1e-10
 
@@ -271,7 +255,9 @@ def test_tree_rejects_a_site_batch_of_the_wrong_width():
         qcnn_forward(QcnnModel(n_qubits=8), sites(np.zeros((1, 4)), 4, "tpe"))
 
 
-@pytest.mark.parametrize("shape", [(1, 16, 4, 3, 4), (1, 16, 4, 2, 2), (1, 16, 2, 2, 4)])
+@pytest.mark.parametrize(
+    "shape", [(1, 16, 4, 3, 4), (1, 16, 4, 2, 2), (1, 16, 2, 2, 4), (1, 2**16)]
+)
 def test_tree_rejects_a_site_batch_not_shaped_chi_2_chi(shape):
     model = QcnnModel(n_qubits=16)
     for run in (
@@ -345,7 +331,7 @@ def test_ket_second_layer_matches_the_density_route(kind, rows):
 def test_tree_reads_only_boundary_bond_zero_like_the_statevector():
     """Random site tensors whose boundary bond entries are all nonzero: the
     tree and circuits.statevector both read only boundary index 0, so the
-    two paths still agree."""
+    tree still agrees with the gate oracle on the contracted state."""
     rng = np.random.default_rng(41)
     A = rng.normal(size=(3, 16, 4, 2, 4))
     assert np.all(A[:, 0, 1:] != 0) and np.all(A[:, -1, ..., 1:] != 0)
@@ -354,6 +340,6 @@ def test_tree_reads_only_boundary_bond_zero_like_the_statevector():
     assert np.abs(np.linalg.norm(state, axis=1) - 1.0).max() < 1e-12
     model = QcnnModel.random(16, "hee", 29)
     labels = np.array([1.0, 0.0, 1.0])
-    assert np.abs(qcnn_forward(model, A) - qcnn_forward(model, state)).max() < 1e-12
-    dg = adjoint_gradient(model, A, labels) - adjoint_gradient(model, state, labels)
+    assert np.abs(qcnn_forward(model, A) - gate_forward(model, state)).max() < 1e-12
+    dg = adjoint_gradient(model, A, labels) - gate_adjoint_gradient(model, state, labels)
     assert np.abs(dg).max() < 1e-10

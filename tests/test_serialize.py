@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from scatterqml.dataset import build_dataset, desk_sweep_config
+from scatterqml.dataset import DatasetError, build_dataset, desk_sweep_config
 from scatterqml.serialize import (
     SCHEMA_VERSION,
     SerializeError,
@@ -74,6 +76,10 @@ def _row_short(record):
     record["density_image"].pop()
 
 
+def _row_ragged(record):
+    record["density_image"][4].append(0.0)
+
+
 def _column_narrow(record):
     for row in record["entropy_traces"]:
         row.pop()
@@ -111,10 +117,19 @@ def _parameter_a_string(record):
     record["parameters"]["fermion_momentum"] = "0.9"
 
 
+def _parameter_infinite(record):
+    record["parameters"]["coupling"] = float("inf")
+
+
+def _delta_s_mid_nan(record):
+    record["delta_s_mid"] = float("nan")
+
+
 @pytest.mark.parametrize(
     "corrupt,detail",
     [
         (_row_short, r"density_image has shape \(31, 8\), expected \(32, 8\)"),
+        (_row_ragged, "density_image must be a rectangular array, not ragged"),
         (_column_narrow, r"entropy_traces has shape \(32, 6\), expected \(32, 7\)"),
         (_not_numbers, r"density_image has shape \(\), expected \(32, 8\)"),
         (_nan_entropy, "entropy_traces must hold real, finite numbers"),
@@ -124,11 +139,14 @@ def _parameter_a_string(record):
         (_parameters_with_an_extra_key, "parameters must hold the keys"),
         (_parameter_a_bool, r"parameters\['mass'\] must be a number, got True"),
         (_parameter_a_string, r"parameters\['fermion_momentum'\] must be a number, got '0.9'"),
+        (_parameter_infinite, r"parameters\['coupling'\] must be finite, got inf"),
+        (_delta_s_mid_nan, "delta_s_mid must be finite, got nan"),
     ],
     ids=[
-        "density-row-short", "entropy-column-narrow", "density-string", "entropy-nan",
+        "density-row-short", "density-row-ragged", "entropy-column-narrow", "density-string", "entropy-nan",
         "t-star-off-grid", "parameters-number", "parameters-missing-key",
-        "parameters-extra-key", "parameter-bool", "parameter-string",
+        "parameters-extra-key", "parameter-bool", "parameter-string", "parameter-infinite",
+        "delta-s-mid-nan",
     ],
 )
 def test_event_with_misshapen_or_non_finite_arrays_is_rejected(
@@ -143,6 +161,91 @@ def test_event_with_misshapen_or_non_finite_arrays_is_rejected(
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SerializeError, match=f"{path} line 3: {detail}"):
         load_events(path)
+
+
+# any JSON value: what a hand-edited or damaged events line could hold
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_EVENT_FIELDS = (
+    "parameters", "density_image", "entropy_traces", "t_star", "delta_s_mid", "error"
+)
+
+
+def _mutate_one_field(data, record):
+    """Change one field of an event record: drop it, replace it by any JSON
+    value, or change one entry, row or key inside it."""
+    key = data.draw(st.sampled_from(_EVENT_FIELDS), label="field")
+    value = record[key]
+    how = data.draw(st.sampled_from(["drop", "replace", "inside"]), label="how")
+    if how == "drop":
+        del record[key]
+    elif how == "replace" or not isinstance(value, (list, dict)):
+        record[key] = data.draw(_JSON | st.floats(), label="value")
+    elif isinstance(value, dict):
+        name = data.draw(st.sampled_from(sorted(value) + ["extra"]), label="key")
+        if data.draw(st.booleans(), label="drop key"):
+            value.pop(name, None)
+        else:
+            value[name] = data.draw(_JSON | st.floats(), label="value")
+    else:
+        row = data.draw(st.integers(0, len(value) - 1), label="row")
+        change = data.draw(st.sampled_from(["entry", "row", "drop row", "add row"]))
+        if change == "entry":
+            column = data.draw(st.integers(0, len(value[row]) - 1), label="column")
+            value[row][column] = data.draw(_JSON | st.floats(), label="value")
+        elif change == "row":
+            value[row] = data.draw(_JSON, label="value")
+        elif change == "drop row":
+            del value[row]
+        else:
+            value.append(list(value[row]))
+
+
+@pytest.fixture(scope="module")
+def tiny_events_file(tiny_events, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "events.jsonl"
+    save_events(path, tiny_sweep_config(), tiny_events)
+    return path, path.read_text().splitlines()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_an_events_file_with_one_field_changed_loads_or_fails_naming_the_file(
+    tiny_events_file, data
+):
+    """A changed field either still makes a dataset (or a DatasetError, such
+    as too few labelled events), or load_events refuses the file with a
+    SerializeError that names it.  Any other exception is a reader gap."""
+    valid, lines = tiny_events_file
+    line = data.draw(st.integers(2, len(lines)), label="line")
+    record = json.loads(lines[line - 1])
+    _mutate_one_field(data, record)
+    path = valid.with_name("changed.jsonl")
+    changed = list(lines)
+    changed[line - 1] = json.dumps(record)
+    path.write_text("\n".join(changed) + "\n")
+    try:
+        _, events = load_events(path)
+    except SerializeError as exc:
+        assert f"{path} line {line}: " in str(exc)
+        return
+    try:
+        build_dataset(events)
+    except DatasetError:
+        pass
 
 
 def test_events_write_is_byte_identical(tiny_events, tmp_path):

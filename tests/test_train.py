@@ -6,6 +6,7 @@ import pytest
 
 from scatterqml import dataset
 from scatterqml import train as train_module
+from scatterqml.circuits import sites
 from scatterqml.dataset import PcaModel, ProcessedDataset
 from scatterqml.train import (
     AdamState,
@@ -223,10 +224,14 @@ def test_qcnn16_prepare_and_forward_on_168_rows_stay_below_256_mib(rng):
 
 @pytest.mark.parametrize(
     "name,ndim",
-    [("qcnn4-hee", 2), ("qcnn8-hee", 2), ("qcnn16-hee", 5),
+    [("qcnn4-hee", 5), ("qcnn8-hee", 5), ("qcnn16-hee", 5),
      ("qcnn4-tpe", 5), ("qcnn8-tpe", 5), ("qcnn16-tpe", 5)],
 )
 def test_qcnn_prepare_picks_site_tensors_where_the_tree_is_cheaper(rng, name, ndim):
+    # the tree is the only evaluator, so every circuit model takes site tensors
     clf = make_classifier(name, 0)
-    width = clf.model.n_qubits
-    assert clf.prepare(rng.uniform(0, np.pi, size=(2, width))).ndim == ndim
+    width, kind = clf.model.n_qubits, clf.model.encoding
+    angles = rng.uniform(0, np.pi, size=(2, width))
+    prepared = clf.prepare(angles)
+    assert prepared.ndim == ndim
+    assert np.array_equal(prepared, sites(angles, width, kind))
