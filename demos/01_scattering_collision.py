@@ -52,14 +52,16 @@ def main():
     vac_profile = entanglement_entropy(sector, vacuum)  # one entropy per cut
     density_rows, excess_rows = [], []
     print("\n  t    excess density (sites 0..11)         dS_mid")
-    for t, psi in trajectory(ham, psi0, TIMES):
-        d = excess_density(sector, psi, vacuum)
-        excess = entanglement_entropy(sector, psi) - vac_profile
-        density_rows.append(d)
-        excess_rows.append(excess)
-        if len(density_rows) % 4 == 0:
-            row = "".join(shade(x, -0.35, 0.35) for x in d)
-            print(f"{t:5.1f}   [{row}]   {central_excess_entropy(excess):6.3f}")
+    # one stack of states per Krylov basis, up to 16 recorded times each
+    for chunk_times, states in trajectory(ham, psi0, TIMES):
+        for t, psi in zip(chunk_times, states):
+            d = excess_density(sector, psi, vacuum)
+            excess = entanglement_entropy(sector, psi) - vac_profile
+            density_rows.append(d)
+            excess_rows.append(excess)
+            if len(density_rows) % 4 == 0:
+                row = "".join(shade(x, -0.35, 0.35) for x in d)
+                print(f"{t:5.1f}   [{row}]   {central_excess_entropy(excess):6.3f}")
 
     row = separation_row(np.array(density_rows))
     if row is None:

@@ -23,7 +23,7 @@ from .lattice import (
     number_sector,
     prepare_scattering_state,
 )
-from .evolution import evolve, trajectory
+from .evolution import trajectory
 from .observables import (
     excess_density,
     entanglement_entropy,
@@ -55,7 +55,6 @@ __all__ = [
     "apply_wavepacket_operator",
     "number_sector",
     "prepare_scattering_state",
-    "evolve",
     "trajectory",
     "excess_density",
     "entanglement_entropy",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy
 
-from .evolution import TIME_CHUNK, EvolutionError, trajectory
+from .evolution import EvolutionError, trajectory
 from .lattice import (
     LatticeError,
     LatticeModel,
@@ -229,8 +229,13 @@ def assign_label(delta_s_mid: float, threshold: float) -> int:
 
 
 def _run_group(args):
-    """All trajectories for one (mass, coupling) pair; used by the worker pool."""
-    config, mass, coupling, pairs = args
+    """All trajectories for one (mass, coupling) pair, one per momentum pair
+    in grid order; used by the worker pool.
+
+    The observables are evaluated once per stack of states that trajectory
+    yields, one stack per Krylov basis.
+    """
+    config, mass, coupling = args
     model = LatticeModel(sites=config.sites, mass=mass, coupling=coupling)
     ham = build_hamiltonian(model)
     basis = ham.sector
@@ -240,32 +245,23 @@ def _run_group(args):
     vac_entropies = entanglement_entropy(basis, vacuum)
     pos_c, pos_d = config.packet_positions
     times = config.times
-    # one buffer serves every chunk, so a finished chunk is not kept alive
-    # beside the next one while its Krylov steps run
-    chunk_buffer = np.empty((TIME_CHUNK, basis.dimension), complex)
 
     events = []
-    for kc, kd in pairs:
+    for kc, kd in itertools.product(config.fermion_momenta, config.antifermion_momenta):
         params = dict(zip(PARAMETER_KEYS, (mass, coupling, kc, kd)))
         try:
             fer = WavepacketSpec("fermion", pos_c, kc, config.momentum_width)
             anti = WavepacketSpec("antifermion", pos_d, kd, config.momentum_width)
             psi0 = prepare_scattering_state(ham, vacuum, modes, fer, anti)
-            density_image = np.empty((len(times), config.sites))
-            entropy_traces = np.empty((len(times), config.sites - 1))
-            steps = trajectory(ham, psi0, times)
-            for start in range(0, len(times), TIME_CHUNK):
-                stack = chunk_buffer[: min(TIME_CHUNK, len(times) - start)]
-                for row in stack:
-                    row[:] = next(steps)[1]
-                rows = slice(start, start + len(stack))
-                density_image[rows] = site_densities(basis, stack) - vac_density
-                entropy_traces[rows] = entanglement_entropy(basis, stack) - vac_entropies
-            event = ScatteringEvent(params, density_image, entropy_traces)
-            row = separation_row(density_image)
+            densities, entropies = [], []
+            for _, states in trajectory(ham, psi0, times):
+                densities.append(site_densities(basis, states) - vac_density)
+                entropies.append(entanglement_entropy(basis, states) - vac_entropies)
+            event = ScatteringEvent(params, np.concatenate(densities), np.concatenate(entropies))
+            row = separation_row(event.density_image)
             if row is not None:
                 event.t_star = float(times[row])
-                event.delta_s_mid = central_excess_entropy(entropy_traces[row])
+                event.delta_s_mid = central_excess_entropy(event.entropy_traces[row])
         except (LatticeError, EvolutionError) as exc:
             # an expected physics failure becomes the event's error; the sweep goes on
             event = ScatteringEvent(
@@ -280,10 +276,7 @@ def _run_group(args):
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[ScatteringEvent]:
     """One event per grid tuple, in grid order; deterministic given the config."""
-    tasks = [
-        (config, m, g, [(kc, kd) for _, _, kc, kd in points])
-        for (m, g), points in itertools.groupby(config.grid(), key=lambda p: p[:2])
-    ]
+    tasks = [(config, m, g) for m in config.masses for g in config.couplings]
     groups = ordered_map(_run_group, tasks, workers)
     return [event for group in groups for event in group]
 

@@ -4,7 +4,9 @@ One Lanczos basis serves a whole chunk of up to TIME_CHUNK recorded times:
 the small tridiagonal problem gives exp(-i t T) e_1 for every offset t at
 once (Park & Light, J. Chem. Phys. 85, 5870, 1986; Hochbruck & Lubich, SIAM
 J. Numer. Anal. 34, 1911, 1997), so the basis is built once per chunk rather
-than once per recorded time.
+than once per recorded time.  The chunk is also the unit that trajectory
+hands out: one (times, states) stack per basis, so callers evaluate their
+observables on whole stacks and never re-chunk.
 
 The step runs the plain three-term Lanczos recurrence without
 reorthogonalisation.  The basis grows until the error estimate
@@ -51,23 +53,20 @@ def _propagate_first_column(alphas, betas, dts):
 def krylov_expm(
     matvec, psi: np.ndarray, dts, tol: float = STEP_TOL, max_dim: int = MAX_KRYLOV_DIM
 ):
-    """Evolve psi by exp(-i H dt) for one offset, or for each of an ascending
-    array of offsets, from one adaptively sized Lanczos basis.
+    """Evolve psi by exp(-i H dt) for each of an ascending array of offsets
+    dts, from one adaptively sized Lanczos basis.
 
-    matvec applies the Hermitian H to a vector.  A scalar dt returns one
-    state; an array returns a (k, dim) stack, where k is the number of
-    offsets unless the basis reached max_dim first: then the stack holds the
-    leading offsets that converged, and none converging raises EvolutionError.
+    matvec applies the Hermitian H to a vector.  The result is a (k, dim)
+    stack, where k is the number of offsets unless the basis reached max_dim
+    first: then the stack holds the leading offsets that converged, and none
+    converging raises EvolutionError.
 
     The basis is not reorthogonalised.  Each row's norm must then match
     |psi| to within tol (relative): a larger drift means the basis lost its
     orthonormality, as it does when matvec is not Hermitian, and raises
     EvolutionError rather than being renormalised away.
     """
-    if np.ndim(dts) == 0 and dts == 0:
-        return psi.copy()
-    offsets = np.atleast_1d(np.asarray(dts, float))
-    t_max = np.abs(offsets).max()
+    t_max = np.abs(dts).max()
     norm0 = np.linalg.norm(psi)
     basis = np.empty((max_dim + 1, psi.size), complex)  # rows: Lanczos vectors
     basis[0] = psi / norm0
@@ -83,10 +82,10 @@ def krylov_expm(
         beta = np.linalg.norm(w)
         breakdown = beta < 1e-14  # the subspace is invariant: the answer is exact
         if breakdown or bound * beta < tol or m == max_dim:
-            small = _propagate_first_column(alphas, betas, offsets)
+            small = _propagate_first_column(alphas, betas, dts)
             converged = breakdown | (np.abs(small[:, -1]) * beta < tol)
             k = int(np.cumprod(converged).sum())  # leading offsets that converged
-            if k == len(offsets) or m == max_dim:
+            if k == len(dts) or m == max_dim:
                 break
         betas.append(beta)
         basis[m] = w / beta
@@ -102,20 +101,17 @@ def krylov_expm(
             "is the matvec Hermitian?"
         )
     out *= (norm0 / norms)[:, None]
-    return out[0] if np.ndim(dts) == 0 else out
-
-
-def evolve(ham, state: np.ndarray, dt: float) -> np.ndarray:
-    """Return exp(-i H dt)|state>, norm preserved to STEP_TOL."""
-    return krylov_expm(ham.apply, state, dt)
+    return out
 
 
 def trajectory(ham, state: np.ndarray, times):
-    """Iterator of (t, psi(t)) at the requested times, evolved from t=0.
+    """Iterator of (chunk_times, states), one item per Krylov basis, that
+    together cover the requested times, evolved from t=0.
 
-    The times must be positive and strictly ascending.  Up to TIME_CHUNK
-    consecutive times come from one Krylov basis, so a chunk's first state
-    carries the cost of the whole chunk.
+    states is the (k, dim) stack psi(chunk_times), k <= TIME_CHUNK.  A basis
+    that fills up before its last offset converges returns a shorter stack,
+    and the next one starts where it stopped.  The times must be positive and
+    strictly ascending; that is checked when trajectory is called.
     """
     times = np.asarray(times, float)
     starts = np.concatenate([[0.0], times])[:-1]
@@ -130,13 +126,8 @@ def trajectory(ham, state: np.ndarray, times):
 
 
 def _chunked_steps(ham, psi, times):
-    done, t_prev = 0, 0.0
-    while done < len(times):
-        states = krylov_expm(ham.apply, psi, times[done : done + TIME_CHUNK] - t_prev)
-        yield from zip(times[done : done + len(states)], states)
-        done += len(states)
-        t_prev = times[done - 1]
-        # carry one state forward, so the finished chunk is freed before the
-        # next basis is built
-        psi = states[-1].copy()
-        del states
+    t_prev = 0.0
+    while len(times):
+        states = krylov_expm(ham.apply, psi, times[:TIME_CHUNK] - t_prev)
+        yield times[: len(states)], states
+        t_prev, psi, times = times[len(states) - 1], states[-1], times[len(states) :]

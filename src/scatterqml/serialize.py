@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -124,11 +125,18 @@ def _decode_str(key, value):
 
 
 def _decode_array(key, value):
-    """A JSON array as numpy reads it; a ragged one is refused by name."""
+    """A JSON array as numpy reads it; a ragged one is refused by name, and
+    so is one holding true or false, which numpy would read as 1 or 0."""
     try:
-        return np.array(value)
+        array = np.array(value)
     except ValueError:
         raise ValueError(f"{key} must be a rectangular array, not ragged") from None
+    elements = value
+    for _ in range(array.ndim - 1):
+        elements = itertools.chain.from_iterable(elements)
+    if array.ndim and bool in set(map(type, elements)):
+        raise ValueError(f"{key} must hold numbers, not true or false")
+    return array
 
 
 # How a field is rebuilt from its JSON value and its name, by its annotation
@@ -263,6 +271,11 @@ def write_report_csv(path, reports: list[ExperimentReport]) -> None:
                 )
 
 
+def _finite_cell(row, key):
+    """The number in a report cell; NaN and infinities are refused by name."""
+    return _decode_finite(key, float(row[key]))
+
+
 def read_report_csv(path):
     """Rows of a report CSV as a list of dicts with parsed numerics."""
     with open(path, newline="") as fh:
@@ -283,9 +296,9 @@ def read_report_csv(path):
                     {
                         "epoch": int(row["epoch"]),
                         "model": row["model"],
-                        "threshold": float(row["threshold"]),
-                        "mean_acc": float(row["mean_acc"]),
-                        "sem": None if row["sem"] == "" else float(row["sem"]),
+                        "threshold": _finite_cell(row, "threshold"),
+                        "mean_acc": _finite_cell(row, "mean_acc"),
+                        "sem": None if row["sem"] == "" else _finite_cell(row, "sem"),
                     }
                 )
             except ValueError as exc:

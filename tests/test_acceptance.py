@@ -20,7 +20,7 @@ from scatterqml.dataset import (
 )
 from scatterqml.circuits import encode, sites
 from scatterqml.cnn import CnnModel, cnn113, cnn51, cnn_backward, cnn_forward
-from scatterqml.evolution import evolve, trajectory
+from scatterqml.evolution import trajectory
 from scatterqml.lattice import (
     LatticeModel,
     WavepacketSpec,
@@ -82,16 +82,15 @@ def test_criterion_1_dense_oracle_equivalence():
     H_dense = dense_hamiltonian(N, mass, coupling)
     psi_ref = embed(sector, psi)
     vacuum_ref = embed(sector, vacuum)
-    for t in (1.0, 2.0, 3.0):
-        psi_k = evolve(ham, psi, 1.0)
-        psi_ref = dense_evolve(H_dense, psi_ref, 1.0)
-        dens = site_densities(sector, psi_k) - site_densities(sector, vacuum)
-        dens_ref = dense_site_densities(N, psi_ref) - dense_site_densities(N, vacuum_ref)
-        ok = ok and np.abs(dens - dens_ref).max() < 1e-8
-        profile = entanglement_entropy(sector, psi_k)
-        for cut in range(1, N):
-            ok = ok and abs(profile[cut - 1] - dense_entropy(psi_ref, cut)) < 1e-8
-        psi = psi_k
+    for _, states in trajectory(ham, psi, [1.0, 2.0, 3.0]):
+        for psi_k in states:
+            psi_ref = dense_evolve(H_dense, psi_ref, 1.0)
+            dens = site_densities(sector, psi_k) - site_densities(sector, vacuum)
+            dens_ref = dense_site_densities(N, psi_ref) - dense_site_densities(N, vacuum_ref)
+            ok = ok and np.abs(dens - dens_ref).max() < 1e-8
+            profile = entanglement_entropy(sector, psi_k)
+            for cut in range(1, N):
+                ok = ok and abs(profile[cut - 1] - dense_entropy(psi_ref, cut)) < 1e-8
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     _verdict(1, "physics oracle equivalence at N=6", ok)
@@ -114,12 +113,14 @@ def test_criterion_2_free_field_oracle():
     )
     ok = True
     times = np.arange(1.0, 11.0)
-    for t, psi in trajectory(ham, psi0, times):
-        Pt = ff_evolve_projector(h, P0, t)
-        ok = ok and np.abs(site_densities(ham.sector, psi) - np.real(np.diag(Pt))).max() < 1e-8
-        profile = entanglement_entropy(ham.sector, psi)
-        for cut in range(1, N):
-            ok = ok and abs(profile[cut - 1] - ff_block_entropy(Pt, cut)) < 1e-8
+    for chunk_times, states in trajectory(ham, psi0, times):
+        for t, psi in zip(chunk_times, states):
+            Pt = ff_evolve_projector(h, P0, t)
+            dens = site_densities(ham.sector, psi)
+            ok = ok and np.abs(dens - np.real(np.diag(Pt))).max() < 1e-8
+            profile = entanglement_entropy(ham.sector, psi)
+            for cut in range(1, N):
+                ok = ok and abs(profile[cut - 1] - ff_block_entropy(Pt, cut)) < 1e-8
     # the vacuum itself must match the filled-sea correlation matrix
     Pvac = ff_vacuum_projector(h)
     ok = ok and np.abs(
@@ -150,8 +151,9 @@ def test_criterion_3_conservation_suite():
         psi = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
         energy0 = float(np.real(np.vdot(psi, ham.apply(psi))))
         number0 = total_number(ham, psi)
-        for _, psi in trajectory(ham, psi, 0.25 * np.arange(1, 101)):
+        for _, states in trajectory(ham, psi, 0.25 * np.arange(1, 101)):
             pass
+        psi = states[-1]
         energy = float(np.real(np.vdot(psi, ham.apply(psi))))
         ok = ok and abs(np.linalg.norm(psi) - 1.0) < 1e-10
         ok = ok and abs(energy - energy0) / max(abs(energy0), 1.0) < 1e-8

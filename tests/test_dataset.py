@@ -25,7 +25,7 @@ from scatterqml.dataset import (
     run_sweep,
     separation_row,
 )
-from scatterqml.evolution import EvolutionError, trajectory
+from scatterqml.evolution import TIME_CHUNK, EvolutionError, trajectory
 from scatterqml.lattice import (
     LatticeModel,
     WavepacketSpec,
@@ -285,8 +285,8 @@ def test_time_chunks_match_per_time_observables():
     short last one included, gives the rows single-state calls give."""
     config = dataclasses.replace(tiny_sweep_config(), time_horizon=8.5)
     times = config.times
-    assert times.size == 17 and times.size % dataset.TIME_CHUNK != 0
-    task = (config, 0.5, 0.6, [(0.9, -0.9)])
+    assert times.size == 17 and times.size % TIME_CHUNK != 0
+    task = (config, 0.5, 0.6)
     (event,) = dataset._run_group(task)
     assert event.error is None
 
@@ -299,15 +299,54 @@ def test_time_chunks_match_per_time_observables():
     anti = WavepacketSpec("antifermion", d, -0.9, config.momentum_width)
     psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
     densities, entropies = [], []
-    for _, psi in trajectory(ham, psi0, times):
-        densities.append(site_densities(sector, psi) - site_densities(sector, vacuum))
-        entropies.append(excess_entropy(sector, psi, vacuum))
+    for _, states in trajectory(ham, psi0, times):
+        for psi in states:
+            densities.append(site_densities(sector, psi) - site_densities(sector, vacuum))
+            entropies.append(excess_entropy(sector, psi, vacuum))
     assert np.abs(event.density_image - densities).max() < 1e-13
     assert np.abs(event.entropy_traces - entropies).max() < 1e-13
 
     (again,) = dataset._run_group(task)
     assert again.density_image.tobytes() == event.density_image.tobytes()
     assert again.entropy_traces.tobytes() == event.entropy_traces.tobytes()
+
+
+def test_uneven_chunks_give_the_same_event(monkeypatch):
+    """A basis that fills up returns a short stack, as it does at N >= 16:
+    the event must not depend on how trajectory chunks the states."""
+    config = dataclasses.replace(tiny_sweep_config(), time_horizon=8.5)
+    task = (config, 0.5, 0.6)
+    (event,) = dataset._run_group(task)
+    whole = dataset.trajectory
+    sizes = []
+
+    def uneven(ham, state, times):
+        for chunk_times, states in whole(ham, state, times):
+            for rows in np.split(np.arange(len(states)), [1, 6]):
+                if rows.size:
+                    sizes.append(rows.size)
+                    yield chunk_times[rows], states[rows]
+
+    monkeypatch.setattr(dataset, "trajectory", uneven)
+    (split,) = dataset._run_group(task)
+    assert sizes == [1, 5, 10, 1]
+    assert np.abs(split.density_image - event.density_image).max() < 1e-13
+    assert np.abs(split.entropy_traces - event.entropy_traces).max() < 1e-13
+    assert event.t_star is not None and split.t_star == event.t_star
+
+
+def test_sweep_events_follow_grid_order():
+    config = SweepConfig(
+        masses=(0.5, 0.3),
+        couplings=(0.6, 0.2),
+        fermion_momenta=(0.9, 0.5),
+        antifermion_momenta=(-0.9, -0.5),
+        sites=4,
+        time_horizon=1.0,
+        momentum_width=0.7,
+    )
+    events = run_sweep(config, workers=1)
+    assert [tuple(ev.parameters.values()) for ev in events] == config.grid()
 
 
 def test_pca_rank_reconstruction(rng):

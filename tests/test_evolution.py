@@ -6,7 +6,6 @@ from scatterqml.dataset import desk_sweep_config
 from scatterqml.evolution import (
     TIME_CHUNK,
     EvolutionError,
-    evolve,
     krylov_expm,
     trajectory,
 )
@@ -35,7 +34,7 @@ def test_two_site_step_matches_dense_expm():
     H = dense_hamiltonian(2, 1.0, 0.0)
     psi0 = np.zeros(4, complex)
     psi0[1] = 1.0  # site 0 occupied
-    out = krylov_expm(_MatvecHam(H).apply, psi0, 0.7)
+    out = krylov_expm(_MatvecHam(H).apply, psi0, [0.7])[0]
     ref = dense_evolve(H, psi0, 0.7)
     assert np.abs(out - ref).max() < 1e-9
 
@@ -49,23 +48,16 @@ def test_evolution_matches_dense_expm_random_state(rng):
     model = LatticeModel(sites=6, mass=0.3, coupling=0.8)
     ham = build_hamiltonian(model)
     psi = _random_state(rng, ham)
-    out = evolve(ham, psi, 1.3)
+    out = krylov_expm(ham.apply, psi, [1.3])[0]
     ref = dense_evolve(dense_hamiltonian(6, 0.3, 0.8), embed(ham.sector, psi), 1.3)
     assert np.abs(embed(ham.sector, out) - ref).max() < 1e-9
-
-
-def test_zero_time_is_identity(rng):
-    model = LatticeModel(sites=4, mass=0.2, coupling=0.1)
-    ham = build_hamiltonian(model)
-    psi = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
-    assert np.array_equal(evolve(ham, psi, 0.0), psi)
 
 
 def test_eigenstate_picks_up_pure_phase():
     model = LatticeModel(sites=6, mass=0.5, coupling=0.4)
     ham = build_hamiltonian(model)
     psi, e0 = ground_state(ham)
-    out = evolve(ham, psi, 2.0)
+    out = krylov_expm(ham.apply, psi, [2.0])[0]
     assert np.abs(out - np.exp(-1j * e0 * 2.0) * psi).max() < 1e-8
 
 
@@ -73,9 +65,9 @@ def test_norm_preserved_over_many_steps(rng):
     model = LatticeModel(sites=8, mass=0.3, coupling=0.7)
     ham = build_hamiltonian(model)
     psi = _random_state(rng, ham)
-    for _, psi in trajectory(ham, psi, 0.5 * np.arange(1, 41)):
+    for _, states in trajectory(ham, psi, 0.5 * np.arange(1, 41)):
         pass
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-10
 
 
 def test_trajectory_times_and_consistency(rng):
@@ -84,9 +76,10 @@ def test_trajectory_times_and_consistency(rng):
     psi = _random_state(rng, ham)
     times = np.array([0.5, 1.0, 1.5])
     seen = list(trajectory(ham, psi, times))
-    assert [t for t, _ in seen] == list(times)
-    direct = evolve(ham, psi, 1.5)
-    assert np.abs(seen[-1][1] - direct).max() < 1e-9
+    assert [list(chunk_times) for chunk_times, _ in seen] == [list(times)]
+    assert seen[0][1].shape == (3, ham.dimension)
+    direct = krylov_expm(ham.apply, psi, [1.5])[0]
+    assert np.abs(seen[-1][1][-1] - direct).max() < 1e-9
 
 
 def test_max_dim_failure_raises():
@@ -95,14 +88,14 @@ def test_max_dim_failure_raises():
     psi = np.zeros(12, complex)
     psi[0] = 1.0
     with pytest.raises(EvolutionError):
-        krylov_expm(_MatvecHam(h).apply, psi, 500.0, tol=1e-14, max_dim=3)
+        krylov_expm(_MatvecHam(h).apply, psi, [500.0], tol=1e-14, max_dim=3)
 
 
 def test_happy_breakdown_is_exact():
     # an eigenvector spans a one-dimensional Krylov space
     H = np.diag([0.3, -1.1, 2.0])
     psi = np.array([0.0, 1.0, 0.0], complex)
-    out = krylov_expm(_MatvecHam(H).apply, psi, 0.9)
+    out = krylov_expm(_MatvecHam(H).apply, psi, [0.9])[0]
     assert np.abs(out - np.exp(1.1j * 0.9) * psi).max() < 1e-14
 
 
@@ -119,7 +112,7 @@ def test_krylov_step_matches_dense_expm_on_sector_hamiltonian(rng, sites, dt):
     model = LatticeModel(sites=sites, mass=0.5, coupling=0.6)
     ham = build_hamiltonian(model)
     psi = _random_state(rng, ham)
-    out = krylov_expm(ham.apply, psi, dt)
+    out = krylov_expm(ham.apply, psi, [dt])[0]
     ref = dense_evolve(dense_hamiltonian(sites, 0.5, 0.6), embed(ham.sector, psi), dt)
     assert np.abs(embed(ham.sector, out) - ref).max() < 1e-9
 
@@ -131,7 +124,7 @@ def test_non_hermitian_matvec_raises_instead_of_renormalising(rng):
     anti_hermitian = 0.5j * ham.matrix.diagonal()
     psi = _random_state(rng, ham)
     with pytest.raises(EvolutionError, match="norm"):
-        krylov_expm(lambda v: ham.apply(v) + anti_hermitian * v, psi, 1.0)
+        krylov_expm(lambda v: ham.apply(v) + anti_hermitian * v, psi, [1.0])
 
 
 @pytest.mark.parametrize("times,index", [
@@ -183,7 +176,9 @@ def test_full_basis_returns_the_converged_leading_offsets(rng, sites, max_dim):
 def test_desk_event_trajectory_builds_one_basis_per_chunk():
     """The matvec count is deterministic.  One basis per recorded time took
     720 matvecs for this event's 48 times (677 on average over the 210 desk
-    events); one basis per chunk must need at most half of that average."""
+    events); one basis per chunk must need at most half of that average.
+    Each basis converges on its whole chunk, so trajectory yields 3 full
+    stacks of TIME_CHUNK states."""
     config = desk_sweep_config()
     model = LatticeModel(
         sites=config.sites, mass=max(config.masses), coupling=max(config.couplings)
@@ -205,6 +200,7 @@ def test_desk_event_trajectory_builds_one_basis_per_chunk():
     ham.apply = counted
     times = config.times
     assert len(times) == 48
-    seen = [t for t, _ in trajectory(ham, psi0, times)]
-    assert seen == list(times)
+    seen = list(trajectory(ham, psi0, times))
+    assert [states.shape for _, states in seen] == [(TIME_CHUNK, ham.dimension)] * 3
+    assert np.concatenate([chunk_times for chunk_times, _ in seen]).tolist() == list(times)
     assert calls <= 339

@@ -151,7 +151,7 @@ def test_trajectory_stack_matches_per_state_oracles():
     fer = WavepacketSpec("fermion", 3.0, 0.9, 0.4)
     anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
-    stack = np.array([psi for _, psi in trajectory(ham, psi0, 0.5 * np.arange(1, 49))])
+    stack = np.concatenate([states for _, states in trajectory(ham, psi0, 0.5 * np.arange(1, 49))])
     occupations = site_number_diagonals(12)
     reference = np.array([occupations @ np.abs(embed(sector, psi)) ** 2 for psi in stack])
     assert np.abs(site_densities(sector, stack) - reference).max() < 1e-12

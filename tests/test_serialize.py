@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from scatterqml.dataset import DatasetError, build_dataset, desk_sweep_config
 from scatterqml.serialize import (
+    REPORT_COLUMNS,
     SCHEMA_VERSION,
     SerializeError,
     load_dataset,
@@ -18,7 +21,7 @@ from scatterqml.serialize import (
     save_model,
     write_report_csv,
 )
-from scatterqml.train import TrainConfig, run_experiment
+from scatterqml.train import ExperimentReport, TrainConfig, run_experiment
 
 from conftest import tiny_sweep_config
 from oracles import load_model
@@ -93,6 +96,14 @@ def _nan_entropy(record):
     record["entropy_traces"][3][2] = float("nan")
 
 
+def _density_entry_true(record):
+    record["density_image"][3][2] = True
+
+
+def _entropy_entry_false(record):
+    record["entropy_traces"][5][0] = False
+
+
 def _t_star_off_the_grid(record):
     record["t_star"] = record["t_star"] + 0.25
 
@@ -133,6 +144,8 @@ def _delta_s_mid_nan(record):
         (_column_narrow, r"entropy_traces has shape \(32, 6\), expected \(32, 7\)"),
         (_not_numbers, r"density_image has shape \(\), expected \(32, 8\)"),
         (_nan_entropy, "entropy_traces must hold real, finite numbers"),
+        (_density_entry_true, "density_image must hold numbers, not true or false"),
+        (_entropy_entry_false, "entropy_traces must hold numbers, not true or false"),
         (_t_star_off_the_grid, r"t_star \d+\.\d+ is not a recorded time of the sweep"),
         (_parameters_a_number, "parameters must hold the keys"),
         (_parameters_missing_a_key, "parameters must hold the keys"),
@@ -144,6 +157,7 @@ def _delta_s_mid_nan(record):
     ],
     ids=[
         "density-row-short", "density-row-ragged", "entropy-column-narrow", "density-string", "entropy-nan",
+        "density-true", "entropy-false",
         "t-star-off-grid", "parameters-number", "parameters-missing-key",
         "parameters-extra-key", "parameter-bool", "parameter-string", "parameter-infinite",
         "delta-s-mid-nan",
@@ -313,6 +327,78 @@ def test_report_csv_round_trip(tmp_path):
     assert rows[2]["mean_acc"] == pytest.approx(reports[0].final_mean)
     header = path.read_text().splitlines()[0]
     assert header == "epoch,model,threshold,mean_acc,sem"
+
+
+@pytest.fixture(scope="module")
+def valid_report(tmp_path_factory):
+    """A two-model report: one multi-run model with SEMs, one single run without."""
+    reports = [
+        ExperimentReport(
+            "cnn51", 0.25, 2, 2, 0, np.array([0.5, 0.75]), np.array([0.1, 0.05]),
+            np.array([0.5, 0.7]),
+        ),
+        ExperimentReport(
+            "qcnn4-hee", 0.25, 2, 1, 0, np.array([0.5, 0.625]), None, np.array([0.5, 0.6])
+        ),
+    ]
+    path = tmp_path_factory.mktemp("report") / "report.csv"
+    write_report_csv(path, reports)
+    with open(path, newline="") as fh:
+        return path, list(csv.reader(fh))
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("key", ["threshold", "mean_acc", "sem"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_report_csv_refuses_non_finite_numbers(valid_report, tmp_path, key, cell):
+    _, rows = valid_report
+    rows = [list(row) for row in rows]
+    rows[2][REPORT_COLUMNS.index(key)] = cell
+    path = tmp_path / "report.csv"
+    _write_rows(path, rows)
+    with pytest.raises(SerializeError, match=f"{path} line 3: {key} must be finite"):
+        read_report_csv(path)
+
+
+# any cell text: what a hand-edited or damaged report could hold
+_CELL = (
+    st.sampled_from(["", "nan", "-inf", "Infinity", "1e999", "True", "0x10", "1_0", " 2 "])
+    | st.floats().map(repr)
+    | st.integers(-(10**20), 10**20).map(str)
+    | st.text(max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_a_report_with_one_cell_changed_reads_or_fails_naming_the_line(valid_report, data):
+    """A changed cell either reads back as finite numbers, or read_report_csv
+    refuses the file with a SerializeError naming it and the record's line.
+    Any other exception is a reader gap."""
+    valid, rows = valid_report
+    line = data.draw(st.integers(2, len(rows)), label="line")
+    column = data.draw(st.integers(0, len(REPORT_COLUMNS) - 1), label="column")
+    cell = data.draw(_CELL, label="cell")
+    changed = [list(row) for row in rows]
+    changed[line - 1][column] = cell
+    path = valid.with_name("changed.csv")
+    _write_rows(path, changed)
+    try:
+        read = read_report_csv(path)
+    except SerializeError as exc:
+        # a quoted line break inside the cell moves the record's last line
+        last_line = line + len(re.findall(r"\r\n|\r|\n", cell))
+        assert f"{path} line {last_line}: " in str(exc)
+        return
+    assert len(read) == len(rows) - 1
+    for row in read:
+        assert isinstance(row["epoch"], int)
+        assert np.isfinite([row["threshold"], row["mean_acc"]]).all()
+        assert row["sem"] is None or np.isfinite(row["sem"])
 
 
 def test_schema_mismatch_raises(tmp_path):
