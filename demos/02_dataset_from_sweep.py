@@ -31,7 +31,7 @@ def main():
         row = [e.delta_s_mid for e in events if e.parameters["mass"] == m]
         print(f"  m={m:.1f}: " + " ".join(f"{s:.2f}" for s in row))
 
-    dataset = build_dataset(events)
+    dataset = build_dataset(events, 4)  # the 4-qubit models' input width
     X_train, y_train = dataset.train
     X_test, y_test = dataset.test
     print(f"\nthreshold (median): {dataset.threshold:.4f}")

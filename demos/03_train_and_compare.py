@@ -22,7 +22,7 @@ def main():
     )
     print(f"running {len(config.grid())} trajectories...")
     events = run_sweep(config)
-    dataset = build_dataset(events)
+    dataset = build_dataset(events, 4)  # the input width of both models
     print(f"dataset: {dataset.labels.size} events, threshold {dataset.threshold:.3f}\n")
 
     for name in ("qcnn4-hee", "cnn51"):

@@ -1,7 +1,8 @@
 """Command-line entry point: gen-data | train | experiment | report.
 
 Every command works on one run directory with fixed file names.  gen-data
-writes events.jsonl and dataset.json there; train reads events.jsonl and
+writes events.jsonl and dataset.json there, the latter at the configured
+model's input width, as train builds it; train reads events.jsonl and
 writes model-<name>-seed<base_seed>.json; experiment reads events.jsonl and
 writes report.csv; report renders report.csv's final-epoch summary table.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -99,6 +99,8 @@ def cmd_gen_data(args):
     values = _load_values(args)
     sweep = cfgmod.sweep_config(values)
     options = cfgmod.dataset_config(values)
+    # train builds its dataset from the same config at this width
+    width = input_width(cfgmod.train_config(values).model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events = run_sweep(sweep, workers=args.workers)
@@ -106,7 +108,7 @@ def cmd_gen_data(args):
     errors = sum(1 for e in events if e.error)
     labeled = sum(1 for e in events if e.delta_s_mid is not None)
     print(f"wrote {len(events)} events ({labeled} labeled, {errors} failed)")
-    dataset = build_dataset(events, options)
+    dataset = build_dataset(events, width, options)
     save_dataset(out / "dataset.json", dataset)
     print(
         f"wrote dataset: {dataset.labels.size} balanced events, "
@@ -118,9 +120,9 @@ def cmd_gen_data(args):
 def cmd_train(args):
     values = _load_values(args)
     tc = cfgmod.train_config(values, model=args.model)
-    options = replace(cfgmod.dataset_config(values), n_components=input_width(tc.model))
+    options = cfgmod.dataset_config(values)
     _, events = load_events(args.run_dir / "events.jsonl")
-    dataset = build_dataset(events, options)
+    dataset = build_dataset(events, input_width(tc.model), options)
     # run 0 of an experiment with the same config
     result = train(dataset, tc, seed=tc.base_seed)
     print(
@@ -154,7 +156,7 @@ def cmd_experiment(args):
     for model in args.models:
         width = input_width(model)
         if width not in datasets:
-            datasets[width] = build_dataset(events, replace(options, n_components=width))
+            datasets[width] = build_dataset(events, width, options)
         tc = cfgmod.train_config(values, model=model)
         rep = run_experiment(datasets[width], tc, workers=args.workers)
         reports.append(rep)
@@ -206,7 +208,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

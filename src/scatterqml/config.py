@@ -10,6 +10,7 @@ carries the word that spells None ("median") in its metadata.
 
 Sweep keys (defaults from the desk-scale sweep):
     masses, couplings, fermion_momenta, antifermion_momenta  float lists
+    (fermion momenta in (0, pi], antifermion momenta in (-pi, 0))
     sites, time_horizon, momentum_width
     The time step, the separation rule and the packet positions (N/4 and
     3N/4) are fixed: see dataset.TIME_STEP and dataset.SEPARATION_FRACTION.
@@ -18,7 +19,8 @@ Dataset keys:
     threshold       "median" or a float entropy threshold
     test_fraction   held-out fraction per class
     split_seed      balancing/split RNG seed
-    n_components    PCA dimension of the dataset written by gen-data
+    Every dataset is built at the input width of the model it feeds (4, 8
+    or 16 PCA components); gen-data's dataset.json at that of `model`.
 
 Training keys:
     model, learning_rate, batch_size, epochs, runs
@@ -73,12 +75,18 @@ _PARSERS = {
 KNOWN_KEYS = frozenset(_PARSERS)
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+def _parse_pair(key: str, raw: str, where: str = ""):
+    """(key, typed value) of one `key = value` pair; `where` (file and line)
+    prefixes the error."""
+    key, raw = key.strip(), raw.strip()
+    if key not in KNOWN_KEYS:
+        raise ConfigError(
+            f"{where}unknown key {key!r}; known keys: {', '.join(sorted(KNOWN_KEYS))}"
+        )
     try:
-        return _PARSERS[key](raw)
+        return key, _PARSERS[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+        raise ConfigError(f"{where}bad value for {key}: {raw!r} ({exc})") from None
 
 
 def parse_assignments(pairs) -> dict:
@@ -87,13 +95,8 @@ def parse_assignments(pairs) -> dict:
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(
-                f"unknown key {key!r}; known keys: {', '.join(sorted(KNOWN_KEYS))}"
-            )
-        out[key] = _parse_value(key, raw)
+        key, value = _parse_pair(*pair.split("=", 1))
+        out[key] = value
     return out
 
 
@@ -107,11 +110,8 @@ def load_config(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
+            key, value = _parse_pair(*stripped.split("=", 1), f"{path}:{lineno}: ")
+            values[key] = value
     return values
 
 

@@ -138,10 +138,16 @@ class SweepConfig:
             )
         if self.momentum_width <= 0:
             raise DatasetError(f"momentum_width must be positive, got {self.momentum_width}")
-        if any(k > 0 for k in self.fermion_momenta) and any(
-            k >= 0 for k in self.antifermion_momenta
-        ):
-            raise DatasetError("antifermion momenta must be negative (counter-propagating)")
+        # the fermion starts on the left and moves right, the antifermion the
+        # other way, each inside the first Brillouin zone (-pi, pi]
+        if not all(0 < k <= np.pi for k in self.fermion_momenta):
+            raise DatasetError(
+                f"fermion_momenta must be in (0, pi], got {tuple(self.fermion_momenta)}"
+            )
+        if not all(-np.pi < k < 0 for k in self.antifermion_momenta):
+            raise DatasetError(
+                f"antifermion_momenta must be in (-pi, 0), got {tuple(self.antifermion_momenta)}"
+            )
 
     @property
     def times(self) -> np.ndarray:
@@ -396,19 +402,14 @@ class ProcessedDataset:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Labelling, split and PCA options of build_dataset()."""
+    """Labelling and split options of build_dataset()."""
 
     # None labels at the median excess central entropy
     threshold: float | None = field(default=None, metadata={"none": "median"})
     test_fraction: float = 0.2  # held-out fraction per class
     split_seed: int = 0  # balancing/split RNG seed
-    n_components: int = 4  # PCA dimension
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise DatasetError(
-                f"n_components must be a positive integer, got {self.n_components}"
-            )
         if self.threshold is not None and not np.isfinite(self.threshold):
             raise DatasetError(f"threshold must be finite or 'median', got {self.threshold}")
         if not 0 < self.test_fraction < 1:
@@ -420,9 +421,10 @@ class DatasetConfig:
 
 
 def build_dataset(
-    events: list[ScatteringEvent], config: DatasetConfig = DatasetConfig()
+    events: list[ScatteringEvent], width: int, config: DatasetConfig = DatasetConfig()
 ) -> ProcessedDataset:
-    """Label, balance, split and project a sweep into a training dataset.
+    """Label, balance, split and project a sweep into a training dataset with
+    `width` PCA features, the input width of the model it feeds.
 
     Events without a detected separation time (or with recorded errors) are
     excluded.  When config.threshold is None the median of the excess central
@@ -451,7 +453,7 @@ def build_dataset(
     train_idx = np.searchsorted(keep, train_local)
     test_idx = np.searchsorted(keep, test_local)
 
-    pca = fit_pca(raw[train_idx], config.n_components)
+    pca = fit_pca(raw[train_idx], width)
     scores = apply_pca(pca, raw)
     bounds = angle_bounds(scores[train_idx])
     angles = scale_to_angles(scores, bounds)

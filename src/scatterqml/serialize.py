@@ -25,21 +25,13 @@ class SerializeError(ValueError):
     pass
 
 
-def _to_plain(value):
-    """Recursively convert numpy containers/scalars to JSON-safe types."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(v) for v in value]
-    return value
+def _plain(value):
+    """json.dumps hook: a numpy array or scalar as its Python list or number."""
+    return value.tolist()
 
 
 def _dumps(obj) -> str:
-    return json.dumps(_to_plain(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def _parse(text: str, where: str):

@@ -264,7 +264,7 @@ def test_criterion_6_structural_contracts():
 
 @pytest.fixture(scope="module")
 def desk_dataset(desk_events):
-    return build_dataset(desk_events)
+    return build_dataset(desk_events, 4)
 
 
 def test_criterion_7_desk_scale_orderings(desk_dataset):
@@ -298,7 +298,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
     def run_pipeline(tag):
         events = run_sweep(cfg, workers=2)
-        dataset = build_dataset(events)
+        dataset = build_dataset(events, 4)
         reports = [
             run_experiment(
                 dataset,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from scatterqml import cli
 from scatterqml.cli import main
 from scatterqml.config import (
     KNOWN_KEYS,
@@ -24,6 +25,7 @@ from scatterqml.serialize import (
     SerializeError,
     load_events,
     read_report_csv,
+    save_dataset,
     save_events,
 )
 from scatterqml.train import MODEL_NAMES, TrainConfig, input_width, train
@@ -143,8 +145,7 @@ def test_cli_train_seeds_its_run_with_base_seed(tiny_cfg_file, tiny_events, tmp_
 
     values = load_config(tiny_cfg_file)
     tc = train_config(values, model="cnn51")
-    options = dataclasses.replace(dataset_config(values), n_components=input_width("cnn51"))
-    dataset = build_dataset(load_events(path)[1], options)
+    dataset = build_dataset(load_events(path)[1], input_width("cnn51"), dataset_config(values))
     np.testing.assert_array_equal(params, train(dataset, tc, seed=3).final_params)
 
 
@@ -164,13 +165,83 @@ def test_cli_rejects_a_fixed_setting_as_an_unknown_key(tiny_cfg_file, tmp_path, 
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("setting", ["n_components=-2", "n_components=0"])
+def test_cli_rejects_the_retired_width_key_as_unknown(tiny_cfg_file, tmp_path, capsys, setting):
+    # the dataset width is the model's input width, not a key: neither an
+    # override nor a config file line may set it
+    old_cfg = tmp_path / "old.cfg"
+    old_cfg.write_text(TINY_CFG + setting.replace("=", " = ") + "\n")
+    run_dir = tmp_path / "run"
+    for argv in (["--config", str(tiny_cfg_file), "--set", setting], ["--config", str(old_cfg)]):
+        assert main(["gen-data", *argv, "--out", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key 'n_components'; known keys: " in err and "split_seed" in err
+        assert not run_dir.exists()
+
+
+# 4 masses x 4 couplings at N=8: 12 training rows, enough for 8 components
+WIDE_GRID = ["--set", "masses=0.2,0.4,0.6,0.8", "--set", "couplings=0.4,0.5,0.6,0.8"]
+
+
+@pytest.mark.parametrize("overrides,width", [
+    ([], 4),
+    (WIDE_GRID + ["--set", "model=qcnn8-tpe"], 8),
+], ids=["default", "qcnn8-tpe"])
+def test_gen_data_writes_the_dataset_train_builds(
+    tiny_cfg_file, tmp_path, monkeypatch, overrides, width
+):
+    argv = ["--config", str(tiny_cfg_file), "--set", "epochs=1", *overrides]
+    run_dir = tmp_path / "run"
+    assert main(["gen-data", *argv, "--out", str(run_dir), "--workers", "2"]) == 0
+    built = []
+
+    def recording(*args):
+        built.append(build_dataset(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_dataset", recording)
+    assert main(["train", *argv, "--in", str(run_dir)]) == 0
+    assert built[0].features.shape[1] == width
+    save_dataset(tmp_path / "train.json", built[0])
+    assert (run_dir / "dataset.json").read_bytes() == (tmp_path / "train.json").read_bytes()
+
+
+def test_gen_data_fails_as_train_does_on_a_model_too_wide_for_its_data(
+    tiny_cfg_file, tmp_path, capsys
+):
+    argv = ["--config", str(tiny_cfg_file), "--set", "model=qcnn8-tpe"]
+    run_dir = tmp_path / "run"
+    rank_error = "error: requested 8 components but the training data has rank 5"
+    assert main(["gen-data", *argv, "--out", str(run_dir)]) == 1
+    assert rank_error in capsys.readouterr().err
+    assert main(["train", *argv, "--in", str(run_dir)]) == 1
+    assert rank_error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,reason", [
+    ("gen-data", "--out", "File exists"),
+    ("train", "--in", "Not a directory"),
+    ("report", "--in", "Not a directory"),
+])
+def test_cli_run_directory_that_is_a_file_fails_cleanly(
+    tiny_cfg_file, tmp_path, capsys, command, option, reason
+):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a run directory\n")
+    config = [] if command == "report" else ["--config", str(tiny_cfg_file)]
+    assert main([command, *config, option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and reason in err
+
+
 def test_cli_gen_data_override_changes_grid(tiny_cfg_file, tmp_path):
+    # 12 events: 6 (two masses) are too few for the default model's 4 components
     run_dir = tmp_path / "run"
     assert main(["gen-data", "--config", str(tiny_cfg_file),
-                 "--set", "masses=0.3,0.6", "--set", "n_components=2",
+                 "--set", "masses=0.3,0.45,0.6,0.8",
                  "--out", str(run_dir), "--workers", "2"]) == 0
     _, events = load_events(run_dir / "events.jsonl")
-    assert len(events) == 6
+    assert len(events) == 12
 
 
 @pytest.mark.parametrize("last_row", ["2,cnn51,0.5", "2,cnn51,abc,0.75,0.01"])
@@ -257,8 +328,6 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     ("time_horizon=0.2", "time_horizon"),
     ("time_horizon=-3", "time_horizon"),
     ("momentum_width=0", "momentum_width"),
-    ("n_components=-2", "n_components"),
-    ("n_components=0", "n_components"),
     ("test_fraction=1.5", "test_fraction"),
     ("test_fraction=-0.5", "test_fraction"),
     ("threshold=nan", "threshold"),
@@ -266,6 +335,12 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     ("sites=7", "sites"),
     ("sites=16", "sites"),
     ("masses=0.0,0.6", "masses"),
+    ("fermion_momenta=0.9,-0.9", "fermion_momenta"),
+    ("fermion_momenta=4.0", "fermion_momenta"),
+    ("antifermion_momenta=0.9", "antifermion_momenta"),
+    ("antifermion_momenta=-3.2", "antifermion_momenta"),
+    ("learning_rate=nan", "learning_rate"),
+    ("epochs=0", "epochs and runs"),
 ])
 def test_cli_bad_time_grid_or_width_fails_before_any_work(
     tiny_cfg_file, tmp_path, capsys, setting, key
@@ -296,7 +371,7 @@ TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
 def test_known_keys_are_the_config_fields_plus_the_dataset_keys():
     names = {f.name for f in SWEEP_FIELDS + DATASET_FIELDS + TRAIN_FIELDS}
-    assert KNOWN_KEYS == names and len(KNOWN_KEYS) == 17
+    assert KNOWN_KEYS == names and len(KNOWN_KEYS) == 16
 
 
 @pytest.mark.parametrize("field", SWEEP_FIELDS, ids=lambda f: f.name)

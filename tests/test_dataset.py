@@ -46,6 +46,21 @@ def test_sweep_config_validation():
     with pytest.raises(DatasetError):
         SweepConfig(masses=(0.5,), couplings=(0.5,), fermion_momenta=(0.9,),
                     antifermion_momenta=(0.9,))
+    # each packet must move towards the other, inside the first Brillouin zone
+    for fermion, antifermion, key in [
+        ((0.9, -0.9), (-0.9,), "fermion_momenta"),  # both packets move left
+        ((-0.9,), (0.9,), "fermion_momenta"),  # packets move apart
+        ((4.0,), (-0.9,), "fermion_momenta"),
+        ((0.0,), (-0.9,), "fermion_momenta"),
+        ((0.9,), (0.0,), "antifermion_momenta"),
+        ((0.9,), (-np.pi,), "antifermion_momenta"),
+    ]:
+        with pytest.raises(DatasetError, match=f"^{key} must be in"):
+            dataclasses.replace(tiny_sweep_config(), fermion_momenta=fermion,
+                                antifermion_momenta=antifermion)
+    edge = dataclasses.replace(tiny_sweep_config(), fermion_momenta=(np.pi,),
+                               antifermion_momenta=(-3.1,))
+    assert edge.fermion_momenta == (np.pi,)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -394,7 +409,7 @@ def test_balance_and_split_properties():
 
 
 def test_build_dataset_median_threshold(tiny_events):
-    ds = build_dataset(tiny_events)
+    ds = build_dataset(tiny_events, 4)
     entropies = [e.delta_s_mid for e in tiny_events]
     assert ds.threshold == float(np.median(entropies))
     assert set(np.unique(ds.labels)) <= {0, 1}
@@ -407,9 +422,7 @@ def test_build_dataset_median_threshold(tiny_events):
 
 def test_build_dataset_explicit_threshold(tiny_events):
     cut = float(np.percentile([e.delta_s_mid for e in tiny_events], 40))
-    ds = build_dataset(
-        tiny_events, DatasetConfig(threshold=cut, split_seed=1, n_components=2)
-    )
+    ds = build_dataset(tiny_events, 2, DatasetConfig(threshold=cut, split_seed=1))
     assert ds.threshold == cut
     # with a low threshold most events are class 1; balancing downsamples
     assert ds.labels.sum() * 2 == ds.labels.size
@@ -422,21 +435,21 @@ def test_build_dataset_excludes_failed_events(tiny_events):
         density_image=np.zeros((1, 8)), entropy_traces=np.zeros((1, 7)),
         error="boom",
     )
-    ds = build_dataset(broken + [bad])
+    ds = build_dataset(broken + [bad], 4)
     assert len(broken) >= ds.labels.size  # the failed event contributed nothing
 
 
 @pytest.mark.parametrize("options,key", [
-    ({"n_components": 0}, "n_components"),
-    ({"n_components": 2, "threshold": float("inf")}, "threshold"),
-    ({"n_components": 2, "test_fraction": 1.0}, "test_fraction"),
-    ({"n_components": 2, "split_seed": -1}, "split_seed"),
+    ({"test_fraction": 0.0}, "test_fraction"),
+    ({"threshold": float("inf")}, "threshold"),
+    ({"test_fraction": 1.0}, "test_fraction"),
+    ({"split_seed": -1}, "split_seed"),
 ])
 def test_build_dataset_checks_its_options_first(options, key):
     # no events at all: the options are checked when they are made, before
     # build_dataset counts events
     with pytest.raises(DatasetError, match=f"^{key} must be"):
-        build_dataset([], DatasetConfig(**options))
+        build_dataset([], 2, DatasetConfig(**options))
 
 
 def _one_lattice_config():

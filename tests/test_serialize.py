@@ -257,7 +257,7 @@ def test_an_events_file_with_one_field_changed_loads_or_fails_naming_the_file(
         assert f"{path} line {line}: " in str(exc)
         return
     try:
-        build_dataset(events)
+        build_dataset(events, 4)
     except DatasetError:
         pass
 
@@ -284,7 +284,7 @@ def _assert_same_fields(a, b):
 
 
 def test_dataset_round_trip(tiny_events, tmp_path):
-    ds = build_dataset(tiny_events)
+    ds = build_dataset(tiny_events, 4)
     path = tmp_path / "dataset.json"
     save_dataset(path, ds)
     _assert_same_fields(ds, load_dataset(path))
@@ -292,7 +292,7 @@ def test_dataset_round_trip(tiny_events, tmp_path):
 
 def test_dataset_with_flat_pca_keys_is_rejected(tiny_events, tmp_path):
     path = tmp_path / "dataset.json"
-    save_dataset(path, build_dataset(tiny_events))
+    save_dataset(path, build_dataset(tiny_events, 4))
     record = json.loads(path.read_text())
     for key, value in record.pop("pca").items():
         record[f"pca_{key}"] = value  # the layout before the PCA model was nested
@@ -309,6 +309,18 @@ def test_model_round_trip(tmp_path):
     assert name == "qcnn4-hee"
     assert np.array_equal(loaded, params)
     assert meta == {"seed": 3}
+
+
+def test_checkpoint_with_numpy_scalars_writes_the_bytes_of_python_scalars(tmp_path):
+    params = np.linspace(-1, 1, 51)
+    python_meta = {"threshold": 0.1, "accuracy": float(np.float32(0.75)), "seed": 3,
+                   "curve": [0.5, 0.25]}
+    numpy_meta = {"threshold": np.float64(0.1), "accuracy": np.float32(0.75),
+                  "seed": np.int64(3), "curve": np.array([0.5, 0.25])}
+    paths = tmp_path / "python.json", tmp_path / "numpy.json"
+    save_model(paths[0], "cnn51", params, metadata=python_meta)
+    save_model(paths[1], "cnn51", params, metadata=numpy_meta)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_report_csv_round_trip(tmp_path):
