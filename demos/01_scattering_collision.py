@@ -17,10 +17,10 @@ from scatterqml import (
     WavepacketSpec,
     build_hamiltonian,
     entanglement_entropy,
-    excess_density,
     free_modes,
     ground_state,
     prepare_scattering_state,
+    site_densities,
     trajectory,
 )
 from scatterqml.dataset import TIME_STEP, central_excess_entropy, separation_row
@@ -49,13 +49,14 @@ def main():
     anti = WavepacketSpec("antifermion", 9.0, -0.9, 0.4)
     psi0 = prepare_scattering_state(ham, vacuum, free_modes(model), fer, anti)
 
+    vac_density = site_densities(sector, vacuum)  # one density per site
     vac_profile = entanglement_entropy(sector, vacuum)  # one entropy per cut
     density_rows, excess_rows = [], []
     print("\n  t    excess density (sites 0..11)         dS_mid")
     # one stack of states per Krylov basis, up to 16 recorded times each
     for chunk_times, states in trajectory(ham, psi0, TIMES):
         for t, psi in zip(chunk_times, states):
-            d = excess_density(sector, psi, vacuum)
+            d = site_densities(sector, psi) - vac_density
             excess = entanglement_entropy(sector, psi) - vac_profile
             density_rows.append(d)
             excess_rows.append(excess)

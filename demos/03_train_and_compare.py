@@ -2,14 +2,14 @@
 
 Builds a dataset from a reduced sweep and trains the 4-qubit
 hardware-efficient-encoded circuit model against the 51-parameter CNN over a
-handful of seeds, printing the mean test-accuracy trajectory of each.  The
+handful of seeds, printing the mean test-accuracy trajectory of each and the
+final-epoch mean and SEM that `scatterqml report` prints for a runs.csv.  The
 full-scale comparison (50 runs on the 210-event desk sweep) is what the
 acceptance suite checks; this is a two-minute preview.
 """
 
-import numpy as np
-
 from scatterqml import SweepConfig, TrainConfig, build_dataset, run_sweep, run_experiment
+from scatterqml.train import summarize
 
 
 def main():
@@ -33,9 +33,10 @@ def main():
         marks = "  ".join(
             f"e{e + 1}:{curve[e]:.3f}" for e in (0, 4, 9, 19, 29)
         )
+        final = summarize(report.rows())[name]
         print(f"{name:>10}: {marks}")
-        print(f"{'':>10}  final mean {report.final_mean:.4f} "
-              f"(SEM {report.final_sem:.4f}, {report.completed} runs)")
+        print(f"{'':>10}  final mean {final.mean:.4f} "
+              f"(SEM {final.sem:.4f}, {final.runs} runs)")
 
 
 if __name__ == "__main__":

@@ -24,12 +24,7 @@ from .lattice import (
     prepare_scattering_state,
 )
 from .evolution import trajectory
-from .observables import (
-    excess_density,
-    entanglement_entropy,
-    excess_entropy,
-    site_densities,
-)
+from .observables import entanglement_entropy, site_densities
 from .dataset import (
     SweepConfig,
     DatasetConfig,
@@ -56,9 +51,7 @@ __all__ = [
     "number_sector",
     "prepare_scattering_state",
     "trajectory",
-    "excess_density",
     "entanglement_entropy",
-    "excess_entropy",
     "site_densities",
     "SweepConfig",
     "DatasetConfig",

@@ -4,7 +4,9 @@ Every command works on one run directory with fixed file names.  gen-data
 writes events.jsonl and dataset.json there, the latter at the configured
 model's input width, as train builds it; train reads events.jsonl and
 writes model-<name>-seed<base_seed>.json; experiment reads events.jsonl and
-writes report.csv; report renders report.csv's final-epoch summary table.
+writes runs.csv, one line per (model, seed, epoch) with the columns model,
+threshold, split_seed, seed, epoch, train_loss, train_accuracy and
+test_accuracy; report prints the final-epoch summary of runs.csv.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .dataset import build_dataset, run_sweep
+from .dataset import build_dataset, check_width, run_sweep
 from .serialize import (
     load_events,
-    read_report_csv,
+    read_runs_csv,
     save_dataset,
     save_events,
     save_model,
-    write_report_csv,
+    write_runs_csv,
 )
-from .train import MODEL_NAMES, input_width, run_experiment, train
+from .train import MODEL_NAMES, input_width, run_experiment, summarize, train
 
 
 def _add_common(parser):
@@ -79,7 +81,7 @@ def _build_parser():
     _add_input(p)
     p.add_argument("--model", choices=MODEL_NAMES, default=None)
 
-    p = sub.add_parser("experiment", help="multi-run experiments, write a report CSV")
+    p = sub.add_parser("experiment", help="multi-run experiments, write runs.csv")
     _add_common(p)
     _add_input(p)
     p.add_argument(
@@ -90,8 +92,8 @@ def _build_parser():
     )
     p.add_argument("--workers", type=_positive_int, default=None)
 
-    p = sub.add_parser("report", help="summarize a run directory's report CSV")
-    _add_input(p, help="run directory with report.csv")
+    p = sub.add_parser("report", help="summarize a run directory's runs.csv")
+    _add_input(p, help="run directory with runs.csv")
     return parser
 
 
@@ -101,6 +103,7 @@ def cmd_gen_data(args):
     options = cfgmod.dataset_config(values)
     # train builds its dataset from the same config at this width
     width = input_width(cfgmod.train_config(values).model)
+    check_width(width, len(sweep.grid()), options.test_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events = run_sweep(sweep, workers=args.workers)
@@ -147,11 +150,17 @@ def cmd_train(args):
     return 0
 
 
+def _sem_text(summary):
+    return "n/a" if summary.sem is None else f"{summary.sem:.4f}"
+
+
 def cmd_experiment(args):
+    if len(set(args.models)) < len(args.models):
+        raise cfgmod.ConfigError(f"--models names a model twice: {' '.join(args.models)}")
     values = _load_values(args)
     options = cfgmod.dataset_config(values)
     _, events = load_events(args.run_dir / "events.jsonl")
-    reports = []
+    rows = []
     datasets = {}
     for model in args.models:
         width = input_width(model)
@@ -159,37 +168,28 @@ def cmd_experiment(args):
             datasets[width] = build_dataset(events, width, options)
         tc = cfgmod.train_config(values, model=model)
         rep = run_experiment(datasets[width], tc, workers=args.workers)
-        reports.append(rep)
-        sem = "n/a" if rep.final_sem is None else f"{rep.final_sem:.4f}"
+        rows += rep.rows()
+        summary = summarize(rep.rows())[model]
         print(
-            f"{model}: mean test acc {rep.final_mean:.4f} (sem {sem}, "
-            f"{rep.completed} runs, {rep.failed} failed)"
+            f"{model}: mean test acc {summary.mean:.4f} (sem {_sem_text(summary)}, "
+            f"{summary.runs} runs, {len(rep.failures)} failed)"
         )
-    out = args.run_dir / "report.csv"
-    write_report_csv(out, reports)
-    print(f"wrote report to {out}")
+    out = args.run_dir / "runs.csv"
+    write_runs_csv(out, rows)
+    print(f"wrote runs to {out}")
     return 0
 
 
 def cmd_report(args):
-    rows = read_report_csv(args.run_dir / "report.csv")
-    if not rows:
+    summaries = summarize(read_runs_csv(args.run_dir / "runs.csv"))
+    if not summaries:
         print("report is empty", file=sys.stderr)
         return 1
-    final = {}
-    for row in rows:
-        cur = final.get(row["model"])
-        if cur is None or row["epoch"] > cur["epoch"]:
-            final[row["model"]] = row
     print(f"{'model':<12} {'threshold':>10} {'epochs':>6} {'mean acc':>9} {'sem':>8}")
-    for model, row in sorted(final.items()):
-        sem = "n/a" if row["sem"] is None else f"{row['sem']:.4f}"
-        print(
-            f"{model:<12} {row['threshold']:>10.4f} {row['epoch']:>6} "
-            f"{row['mean_acc']:>9.4f} {sem:>8}"
-        )
-    best = max(final.values(), key=lambda r: r["mean_acc"])
-    print(f"best: {best['model']} at {best['mean_acc']:.4f}")
+    for model, s in sorted(summaries.items()):
+        print(f"{model:<12} {s.threshold:>10.4f} {s.epochs:>6} {s.mean:>9.4f} {_sem_text(s):>8}")
+    best = max(summaries, key=lambda model: summaries[model].mean)
+    print(f"best: {best} at {summaries[best].mean:.4f}")
     return 0
 
 

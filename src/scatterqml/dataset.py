@@ -377,6 +377,22 @@ def balance_and_split(labels: np.ndarray, test_fraction: float, seed: int):
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
+def check_width(width: int, n_events: int, test_fraction: float) -> None:
+    """Refuse a PCA width that no dataset of `n_events` events can reach.
+
+    balance_and_split keeps at most k = n_events // 2 events per class and
+    holds round(test_fraction * k) of each out, so whatever the labels, the
+    centred training rows have rank at most 2 * (k - round(test_fraction * k)) - 1.
+    """
+    per_class = n_events // 2
+    rank = 2 * (per_class - int(round(test_fraction * per_class))) - 1
+    if width > rank:
+        raise DatasetError(
+            f"requested {width} components but {n_events} grid points give "
+            f"training data of rank at most {rank}"
+        )
+
+
 @dataclass
 class ProcessedDataset:
     """Angle-scaled PCA features with labels and a frozen train/test split."""

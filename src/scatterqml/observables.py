@@ -44,11 +44,6 @@ def site_densities(sector, states: np.ndarray) -> np.ndarray:
     return (np.abs(states) ** 2) @ sector.occupations.T
 
 
-def excess_density(sector, state: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
-    """Local fermion density relative to the vacuum."""
-    return site_densities(sector, state) - site_densities(sector, vacuum)
-
-
 class _Plan(NamedTuple):
     grams: list  # (block key, rank grid (right, left)) at each chain's first cut
     steps: list  # (block key, size k, key with site cut empty, key with it occupied)
@@ -138,8 +133,3 @@ def entanglement_entropy(sector, states: np.ndarray) -> np.ndarray:
     profile = np.add.reduceat(by_block, plan.starts, axis=1)
     return profile[0] if np.ndim(states) == 1 else profile
 
-
-def excess_entropy(sector, state: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
-    """Entropy profile of the state minus the vacuum's, per state for a stack;
-    entries may be negative."""
-    return entanglement_entropy(sector, state) - entanglement_entropy(sector, vacuum)

@@ -1,8 +1,10 @@
-"""Deterministic JSON / CSV persistence for events, datasets, models, reports.
+"""Deterministic JSON / CSV persistence for events, datasets, models, runs.
 
-All writers sort keys and rely on shortest round-trip float repr, so a given
-object always serializes to byte-identical output.  Every file carries a
-schema version so stale files fail loudly instead of being misread.
+The JSON writers sort keys, runs.csv keeps the RunRow field order, and every
+writer relies on shortest round-trip float repr, so a given object always
+serializes to byte-identical output.  Every JSON file carries
+a schema version, and runs.csv a header of the RunRow field names, so stale
+files fail loudly instead of being misread.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import numpy as np
 
 from .dataset import PARAMETER_KEYS, PcaModel, ProcessedDataset, ScatteringEvent, SweepConfig
-from .train import ExperimentReport
+from .train import RunRow
 
 SCHEMA_VERSION = 2
 
@@ -241,58 +243,40 @@ def save_model(path, model_name: str, params: np.ndarray, metadata: dict):
         fh.write(_dumps(record) + "\n")
 
 
-REPORT_COLUMNS = ("epoch", "model", "threshold", "mean_acc", "sem")
+def _decode_cell(field, text):
+    """A runs.csv cell, read by the annotation of its RunRow field."""
+    if field.type == "float":
+        return _decode_finite(field.name, float(text))
+    return int(text) if field.type == "int" else text
 
 
-def write_report_csv(path, reports: list[ExperimentReport]) -> None:
-    """Per-epoch mean test accuracies of one or more experiments, one CSV."""
+def write_runs_csv(path, rows: list[RunRow]) -> None:
+    """One line per RunRow under a header of its field names; floats by repr."""
+    fields = dataclasses.fields(RunRow)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for rep in reports:
-            for epoch in range(rep.epochs):
-                sem = rep.sem_test_accuracy
-                writer.writerow(
-                    [
-                        epoch + 1,
-                        rep.model,
-                        repr(rep.threshold),
-                        repr(float(rep.mean_test_accuracy[epoch])),
-                        "" if sem is None else repr(float(sem[epoch])),
-                    ]
-                )
-
-
-def _finite_cell(row, key):
-    """The number in a report cell; NaN and infinities are refused by name."""
-    return _decode_finite(key, float(row[key]))
-
-
-def read_report_csv(path):
-    """Rows of a report CSV as a list of dicts with parsed numerics."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != REPORT_COLUMNS:
-            raise SerializeError(
-                f"{path} does not look like a report CSV "
-                f"(columns {reader.fieldnames})"
+        writer.writerow(f.name for f in fields)
+        for row in rows:
+            writer.writerow(
+                repr(float(v)) if f.type == "float" else v
+                for f, v in zip(fields, dataclasses.astuple(row))
             )
+
+
+def read_runs_csv(path) -> list[RunRow]:
+    """The RunRows of a runs.csv; a wrong header, a row of the wrong length, a
+    bad integer or a non-finite number is refused naming the file and line."""
+    fields = dataclasses.fields(RunRow)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != [f.name for f in fields]:
+            raise SerializeError(f"{path} does not look like a runs CSV (columns {header})")
         rows = []
-        for row in reader:
+        for cells in reader:
             where = f"{path} line {reader.line_num}"
-            # DictReader fills a short row with None and keys extra cells by None
-            if None in row or None in row.values():
-                raise SerializeError(f"{where}: expected {len(REPORT_COLUMNS)} cells")
-            try:
-                rows.append(
-                    {
-                        "epoch": int(row["epoch"]),
-                        "model": row["model"],
-                        "threshold": _finite_cell(row, "threshold"),
-                        "mean_acc": _finite_cell(row, "mean_acc"),
-                        "sem": None if row["sem"] == "" else _finite_cell(row, "sem"),
-                    }
-                )
-            except ValueError as exc:
-                raise SerializeError(f"{where}: {exc}") from None
+            if len(cells) != len(fields):
+                raise SerializeError(f"{where}: expected {len(fields)} cells, got {len(cells)}")
+            with _fields(where):
+                rows.append(RunRow(*map(_decode_cell, fields, cells)))
     return rows

@@ -209,27 +209,84 @@ def train(dataset: ProcessedDataset, config: TrainConfig, seed: int) -> RunResul
     )
 
 
-@dataclass
-class ExperimentReport:
+@dataclass(frozen=True)
+class RunRow:
+    """One epoch of one training run: a line of runs.csv."""
+
     model: str
     threshold: float
-    epochs: int
-    completed: int
-    failed: int
-    mean_test_accuracy: np.ndarray  # per epoch
-    sem_test_accuracy: np.ndarray | None  # None when runs == 1
-    mean_train_accuracy: np.ndarray
+    split_seed: int
+    seed: int
+    epoch: int
+    train_loss: float
+    train_accuracy: float
+    test_accuracy: float
+
+
+@dataclass
+class ExperimentReport:
+    """The completed runs of one model on one dataset, by seed in seed order,
+    and the (seed, message) of every run a TrainError ended."""
+
+    model: str
+    threshold: float
+    split_seed: int
+    runs: dict  # seed -> RunResult
     failures: list = field(default_factory=list)
 
     @property
-    def final_mean(self) -> float:
-        return float(self.mean_test_accuracy[-1])
+    def completed(self) -> int:
+        return len(self.runs)
 
     @property
-    def final_sem(self) -> float | None:
-        if self.sem_test_accuracy is None:
-            return None
-        return float(self.sem_test_accuracy[-1])
+    def mean_test_accuracy(self) -> np.ndarray:
+        """Per epoch, over the completed runs."""
+        return np.array([r.test_accuracy for r in self.runs.values()]).mean(axis=0)
+
+    @property
+    def mean_train_accuracy(self) -> np.ndarray:
+        return np.array([r.train_accuracy for r in self.runs.values()]).mean(axis=0)
+
+    def rows(self) -> list[RunRow]:
+        return [
+            RunRow(self.model, self.threshold, self.split_seed, seed, epoch, *values)
+            for seed, r in self.runs.items()
+            for epoch, values in enumerate(zip(r.train_loss, r.train_accuracy, r.test_accuracy), 1)
+        ]
+
+
+@dataclass(frozen=True)
+class Summary:
+    """A model's final epoch: the mean test accuracy over its runs and its
+    standard error (None for one run)."""
+
+    threshold: float
+    epochs: int
+    runs: int
+    mean: float
+    sem: float | None
+
+
+def summarize(rows) -> dict[str, Summary]:
+    """Each model's Summary, in the order the models first appear in `rows`.
+
+    The test accuracies are stacked (runs, epochs) in row order and reduced
+    over the runs, as ExperimentReport.mean_test_accuracy is, so a mean reads
+    the same computed from a report or from its rows.  Runs of one model that
+    end at different epochs (a file cut at a line break) are refused."""
+    curves = {}
+    for row in rows:
+        runs = curves.setdefault(row.model, (row.threshold, {}))[1]
+        runs.setdefault(row.seed, []).append(row.test_accuracy)
+    summaries = {}
+    for model, (threshold, runs) in curves.items():
+        if len({len(accs) for accs in runs.values()}) > 1:
+            raise ValueError(f"the runs of {model} do not all end at the same epoch")
+        test = np.array(list(runs.values()))
+        n, epochs = test.shape
+        sem = float(test.std(axis=0, ddof=1)[-1] / np.sqrt(n)) if n > 1 else None
+        summaries[model] = Summary(threshold, epochs, n, float(test.mean(axis=0)[-1]), sem)
+    return summaries
 
 
 def _train_one(args):
@@ -244,32 +301,15 @@ def _train_one(args):
 def run_experiment(
     dataset: ProcessedDataset, config: TrainConfig, workers: int | None = None
 ) -> ExperimentReport:
-    """Independent trainings with seeds base..base+runs-1, aggregated in seed order.
+    """Independent trainings with seeds base..base+runs-1, kept in seed order.
 
-    Diverged runs are excluded from the aggregate and counted; the mean and
-    the standard error of the mean are computed over completed runs.  Any
-    error other than a TrainError propagates.
+    Diverged runs are left out and their TrainErrors kept as failures; any
+    other error propagates.
     """
     seeds = [config.base_seed + i for i in range(config.runs)]
-    tasks = [(dataset, config, s) for s in seeds]
-    outcomes = ordered_map(_train_one, tasks, workers)
-    results = [r for r in outcomes if isinstance(r, RunResult)]
+    outcomes = ordered_map(_train_one, [(dataset, config, s) for s in seeds], workers)
     failures = [(s, r) for s, r in zip(seeds, outcomes) if isinstance(r, str)]
-
-    if not results:
+    if len(failures) == len(seeds):
         raise TrainError(f"all {config.runs} runs failed: {failures[:3]}")
-    test = np.array([r.test_accuracy for r in results])
-    trn = np.array([r.train_accuracy for r in results])
-    mean = test.mean(axis=0)
-    sem = test.std(axis=0, ddof=1) / np.sqrt(len(results)) if len(results) > 1 else None
-    return ExperimentReport(
-        model=config.model,
-        threshold=dataset.threshold,
-        epochs=config.epochs,
-        completed=len(results),
-        failed=len(failures),
-        mean_test_accuracy=mean,
-        sem_test_accuracy=sem,
-        mean_train_accuracy=trn.mean(axis=0),
-        failures=failures,
-    )
+    runs = {s: r for s, r in zip(seeds, outcomes) if isinstance(r, RunResult)}
+    return ExperimentReport(config.model, dataset.threshold, dataset.seed, runs, failures)

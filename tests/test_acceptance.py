@@ -33,8 +33,8 @@ from scatterqml.lattice import (
 )
 from scatterqml.observables import entanglement_entropy, site_densities
 from scatterqml.qcnn import CONV, POOL, QcnnModel, adjoint_gradient, qcnn_forward
-from scatterqml.serialize import save_dataset, save_events, write_report_csv
-from scatterqml.train import TrainConfig, run_experiment
+from scatterqml.serialize import save_dataset, save_events, write_runs_csv
+from scatterqml.train import TrainConfig, run_experiment, summarize
 
 from conftest import tiny_sweep_config
 from oracles import (
@@ -273,21 +273,19 @@ def test_criterion_7_desk_scale_orderings(desk_dataset):
     ok = ds.labels.size >= 200
     ok = ok and ds.labels.sum() * 2 == ds.labels.size  # balanced
 
-    results = {}
+    rows = []
     for name in ("qcnn4-hee", "cnn51", "cnn113"):
-        rep = run_experiment(ds, TrainConfig(model=name, runs=50, epochs=30))
-        results[name] = rep
-        print(
-            f"  {name}: mean {rep.final_mean:.4f} sem {rep.final_sem:.4f} "
-            f"({rep.completed} runs)"
-        )
+        rows += run_experiment(ds, TrainConfig(model=name, runs=50, epochs=30)).rows()
+    results = summarize(rows)
+    for name, s in results.items():
+        print(f"  {name}: mean {s.mean:.4f} sem {s.sem:.4f} ({s.runs} runs)")
     qcnn, small, large = (
         results["qcnn4-hee"], results["cnn51"], results["cnn113"],
     )
-    ok = ok and qcnn.final_mean >= 0.90
-    ok = ok and qcnn.final_mean >= small.final_mean - 0.02
-    noise = 2.0 * np.hypot(small.final_sem, large.final_sem)
-    ok = ok and large.final_mean <= small.final_mean + noise
+    ok = ok and qcnn.mean >= 0.90
+    ok = ok and qcnn.mean >= small.mean - 0.02
+    noise = 2.0 * np.hypot(small.sem, large.sem)
+    ok = ok and large.mean <= small.mean + noise
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 4 * 3600.0
     _verdict(7, "desk-scale accuracy orderings over 50 runs", ok)
@@ -299,22 +297,23 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     def run_pipeline(tag):
         events = run_sweep(cfg, workers=2)
         dataset = build_dataset(events, 4)
-        reports = [
-            run_experiment(
+        rows = [
+            row
+            for m in ("qcnn4-hee", "cnn51")
+            for row in run_experiment(
                 dataset,
                 TrainConfig(model=m, epochs=3, runs=2, batch_size=2),
                 workers=2,
-            )
-            for m in ("qcnn4-hee", "cnn51")
+            ).rows()
         ]
         paths = {
             "events": tmp_path / f"events-{tag}.jsonl",
             "dataset": tmp_path / f"dataset-{tag}.json",
-            "report": tmp_path / f"report-{tag}.csv",
+            "runs": tmp_path / f"runs-{tag}.csv",
         }
         save_events(paths["events"], cfg, events)
         save_dataset(paths["dataset"], dataset)
-        write_report_csv(paths["report"], reports)
+        write_runs_csv(paths["runs"], rows)
         return paths
 
     first = run_pipeline("a")
@@ -322,4 +321,4 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     ok = all(
         first[key].read_bytes() == second[key].read_bytes() for key in first
     )
-    _verdict(8, "byte-identical dataset and report files on re-run", ok)
+    _verdict(8, "byte-identical events, dataset and runs files on re-run", ok)

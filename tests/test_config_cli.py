@@ -24,7 +24,7 @@ from scatterqml.dataset import (
 from scatterqml.serialize import (
     SerializeError,
     load_events,
-    read_report_csv,
+    read_runs_csv,
     save_dataset,
     save_events,
 )
@@ -120,9 +120,13 @@ def test_cli_full_pipeline(tiny_cfg_file, tmp_path, capsys):
                  "--in", str(run_dir),
                  "--models", "qcnn4-tpe", "cnn51",
                  "--workers", "2"]) == 0
-    rows = read_report_csv(run_dir / "report.csv")
-    assert {r["model"] for r in rows} == {"qcnn4-tpe", "cnn51"}
-    assert max(r["epoch"] for r in rows) == 3
+    rows = read_runs_csv(run_dir / "runs.csv")
+    assert [(r.model, r.seed, r.epoch) for r in rows] == [
+        (model, seed, epoch)
+        for model in ("qcnn4-tpe", "cnn51")
+        for seed in (0, 1)
+        for epoch in (1, 2, 3)
+    ]
 
     assert main(["report", "--in", str(run_dir)]) == 0
     out = capsys.readouterr().out
@@ -206,16 +210,59 @@ def test_gen_data_writes_the_dataset_train_builds(
     assert (run_dir / "dataset.json").read_bytes() == (tmp_path / "train.json").read_bytes()
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("called before the options were checked")
+
+
 def test_gen_data_fails_as_train_does_on_a_model_too_wide_for_its_data(
-    tiny_cfg_file, tmp_path, capsys
+    tiny_cfg_file, tmp_path, capsys, monkeypatch
 ):
-    argv = ["--config", str(tiny_cfg_file), "--set", "model=qcnn8-tpe"]
+    """Nine grid points keep at most 3 training events per class, so the
+    training rows have rank at most 5: gen-data refuses qcnn8-tpe before any
+    trajectory runs and makes no run directory, and train refuses it on the
+    finished sweep at the PCA."""
+    argv = ["--config", str(tiny_cfg_file)]
     run_dir = tmp_path / "run"
-    rank_error = "error: requested 8 components but the training data has rank 5"
-    assert main(["gen-data", *argv, "--out", str(run_dir)]) == 1
-    assert rank_error in capsys.readouterr().err
+    assert main(["gen-data", *argv, "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    argv += ["--set", "model=qcnn8-tpe"]
+    monkeypatch.setattr(cli, "run_sweep", _fail_if_called)
+    assert main(["gen-data", *argv, "--out", str(tmp_path / "wide")]) == 1
+    assert (
+        "error: requested 8 components but 9 grid points give training data of rank at most 5"
+        in capsys.readouterr().err
+    )
+    assert not (tmp_path / "wide").exists()
     assert main(["train", *argv, "--in", str(run_dir)]) == 1
+    rank_error = "error: requested 8 components but the training data has rank 5"
     assert rank_error in capsys.readouterr().err
+
+
+def test_experiment_refuses_a_repeated_model_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_events", _fail_if_called)
+    monkeypatch.setattr(cli, "run_experiment", _fail_if_called)
+    code = main(["experiment", "--in", str(tmp_path),
+                 "--models", "cnn51", "qcnn4-hee", "cnn51"])
+    assert code == 1
+    assert "error: --models names a model twice: cnn51 qcnn4-hee cnn51" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_pooled_and_serial_experiments_write_the_same_runs_and_report(
+    tiny_cfg_file, tiny_events, tmp_path, capsys
+):
+    _events_file(tmp_path, tiny_events)
+    argv = ["experiment", "--config", str(tiny_cfg_file), "--in", str(tmp_path),
+            "--models", "qcnn4-tpe", "cnn51"]
+    written, reports = [], []
+    for workers in ("2", "1"):
+        assert main([*argv, "--workers", workers]) == 0
+        written.append((tmp_path / "runs.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert written[0] == written[1]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command,option,reason", [
@@ -244,16 +291,36 @@ def test_cli_gen_data_override_changes_grid(tiny_cfg_file, tmp_path):
     assert len(events) == 12
 
 
-@pytest.mark.parametrize("last_row", ["2,cnn51,0.5", "2,cnn51,abc,0.75,0.01"])
+@pytest.mark.parametrize("last_row", [
+    "2,cnn51,0.5",  # short rows
+    "2,cnn51,abc,0.75,0.01",
+    "cnn51,0.5,0,0,2,0.125,0.5,0.75,0.01",  # a long row
+    "cnn51,abc,0,0,2,0.125,0.5,0.75",  # a bad number
+    "cnn51,0.5,0,0,2.5,0.125,0.5,0.75",  # a bad integer
+    "cnn51,0.5,0,0,2,nan,0.5,0.75",  # a non-finite number
+])
 def test_cli_report_with_a_bad_row_names_the_file_and_line(tmp_path, capsys, last_row):
-    path = tmp_path / "report.csv"
+    path = tmp_path / "runs.csv"
     path.write_text(
-        "epoch,model,threshold,mean_acc,sem\n1,cnn51,0.5,0.75,0.01\n" + last_row + "\n"
+        "model,threshold,split_seed,seed,epoch,train_loss,train_accuracy,test_accuracy\n"
+        "cnn51,0.5,0,0,1,0.25,0.5,0.75\n" + last_row + "\n"
     )
     code = main(["report", "--in", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert str(path) in err and "line 3" in err
+
+
+def test_cli_report_refuses_runs_cut_at_a_line_break(tmp_path, capsys):
+    """A runs.csv cut after a whole line reads, but its last run stops short."""
+    path = tmp_path / "runs.csv"
+    path.write_text(
+        "model,threshold,split_seed,seed,epoch,train_loss,train_accuracy,test_accuracy\n"
+        "cnn51,0.5,0,0,1,0.25,0.5,0.75\ncnn51,0.5,0,0,2,0.25,0.5,0.75\n"
+        "cnn51,0.5,0,1,1,0.25,0.5,0.75\n"
+    )
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    assert "error: the runs of cnn51 do not all end at the same epoch" in capsys.readouterr().err
 
 
 def _events_file(tmp_path, tiny_events):

@@ -18,6 +18,7 @@ from scatterqml.dataset import (
     balance_and_split,
     build_dataset,
     central_excess_entropy,
+    check_width,
     desk_sweep_config,
     fit_pca,
     scale_to_angles,
@@ -34,7 +35,7 @@ from scatterqml.lattice import (
     ground_state,
     prepare_scattering_state,
 )
-from scatterqml.observables import ObservableError, excess_entropy, site_densities
+from scatterqml.observables import ObservableError, entanglement_entropy, site_densities
 
 from conftest import tiny_sweep_config
 
@@ -317,7 +318,9 @@ def test_time_chunks_match_per_time_observables():
     for _, states in trajectory(ham, psi0, times):
         for psi in states:
             densities.append(site_densities(sector, psi) - site_densities(sector, vacuum))
-            entropies.append(excess_entropy(sector, psi, vacuum))
+            entropies.append(
+                entanglement_entropy(sector, psi) - entanglement_entropy(sector, vacuum)
+            )
     assert np.abs(event.density_image - densities).max() < 1e-13
     assert np.abs(event.entropy_traces - entropies).max() < 1e-13
 
@@ -406,6 +409,23 @@ def test_balance_and_split_properties():
         balance_and_split(np.array([0] * 5 + [1] * 5), 0.95, seed=0)
     with pytest.raises(DatasetError, match="test_fraction 0.05 leaves no test events of 5 per class"):
         balance_and_split(np.array([0] * 5 + [1] * 5), 0.05, seed=0)
+
+
+@pytest.mark.parametrize("n_events", [6, 9, 12, 21])
+@pytest.mark.parametrize("test_fraction", [0.2, 0.35, 0.5])
+def test_check_width_bound_is_the_largest_rank_a_grid_can_give(rng, n_events, test_fraction):
+    """Balanced labels and generic features reach the bound: check_width
+    accepts a width the PCA can fit and refuses the next one up."""
+    labels = np.arange(n_events) % 2
+    train, _ = balance_and_split(labels, test_fraction, seed=0)
+    features = rng.normal(size=(train.size, 64))
+    bound = train.size - 1
+    check_width(bound, n_events, test_fraction)
+    fit_pca(features, bound)
+    with pytest.raises(DatasetError, match=f"{n_events} grid points .* rank at most {bound}$"):
+        check_width(bound + 1, n_events, test_fraction)
+    with pytest.raises(DatasetError, match="rank"):
+        fit_pca(features, bound + 1)
 
 
 def test_build_dataset_median_threshold(tiny_events):

@@ -16,8 +16,6 @@ from scatterqml.lattice import (
 from scatterqml.observables import (
     ObservableError,
     entanglement_entropy,
-    excess_density,
-    excess_entropy,
     site_densities,
 )
 
@@ -55,13 +53,6 @@ def test_site_densities_match_dense_operators(rng):
     psi = _random_sector_state(rng, sector)
     ref = dense_site_densities(6, embed(sector, psi))
     assert np.abs(site_densities(sector, psi) - ref).max() < 1e-12
-
-
-def test_excess_density_of_vacuum_is_zero():
-    model = LatticeModel(sites=6, mass=0.3, coupling=0.4)
-    ham = build_hamiltonian(model)
-    vac, _ = ground_state(ham)
-    assert np.abs(excess_density(ham.sector, vac, vac)).max() == 0.0
 
 
 def test_reduced_density_matrix_matches_partial_trace_oracle(rng):
@@ -197,7 +188,7 @@ def test_entropy_profile_and_excess(rng):
     profile = entropy_profile(sector, vac, vac_entropies)
     assert np.abs(profile).max() < 1e-14
     psi = _random_sector_state(rng, sector)
-    excess = excess_entropy(sector, psi, vac)
+    excess = entanglement_entropy(sector, psi) - vac_entropies
     assert excess.shape == (5,)
     assert np.abs(entropy_profile(sector, psi, vac_entropies) - excess).max() < 1e-12
 

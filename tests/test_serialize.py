@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 
 from scatterqml.dataset import DatasetError, build_dataset, desk_sweep_config
 from scatterqml.serialize import (
-    REPORT_COLUMNS,
     SCHEMA_VERSION,
     SerializeError,
     load_dataset,
     load_events,
-    read_report_csv,
+    read_runs_csv,
     save_dataset,
     save_events,
     save_model,
-    write_report_csv,
+    write_runs_csv,
 )
-from scatterqml.train import ExperimentReport, TrainConfig, run_experiment
+from scatterqml.train import RunRow, TrainConfig, run_experiment
 
 from conftest import tiny_sweep_config
 from oracles import load_model
 from test_train import synthetic_dataset
+
+RUN_COLUMNS = [f.name for f in dataclasses.fields(RunRow)]
 
 
 def test_events_round_trip(tiny_events, tmp_path):
@@ -324,37 +325,37 @@ def test_checkpoint_with_numpy_scalars_writes_the_bytes_of_python_scalars(tmp_pa
 
 
 def test_report_csv_round_trip(tmp_path):
+    """runs.csv, the file the report command reads, gives back every RunRow."""
     ds = synthetic_dataset(seed=0)
     reports = [
         run_experiment(ds, TrainConfig(model="cnn51", epochs=3, runs=2), workers=1),
         run_experiment(ds, TrainConfig(model="cnn113", epochs=3, runs=1), workers=1),
     ]
-    path = tmp_path / "report.csv"
-    write_report_csv(path, reports)
-    rows = read_report_csv(path)
-    assert len(rows) == 6
-    assert rows[0]["model"] == "cnn51" and rows[0]["epoch"] == 1
-    assert rows[-1]["model"] == "cnn113"
-    assert rows[-1]["sem"] is None  # single run has no SEM
-    assert rows[2]["mean_acc"] == pytest.approx(reports[0].final_mean)
-    header = path.read_text().splitlines()[0]
-    assert header == "epoch,model,threshold,mean_acc,sem"
+    rows = [row for rep in reports for row in rep.rows()]
+    path = tmp_path / "runs.csv"
+    write_runs_csv(path, rows)
+    assert read_runs_csv(path) == rows
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        "model,threshold,split_seed,seed,epoch,train_loss,train_accuracy,test_accuracy"
+    )
+    assert len(lines) == 1 + 9
+    assert lines[1].startswith(f"cnn51,{ds.threshold!r},0,0,1,")
 
 
 @pytest.fixture(scope="module")
 def valid_report(tmp_path_factory):
-    """A two-model report: one multi-run model with SEMs, one single run without."""
-    reports = [
-        ExperimentReport(
-            "cnn51", 0.25, 2, 2, 0, np.array([0.5, 0.75]), np.array([0.1, 0.05]),
-            np.array([0.5, 0.7]),
-        ),
-        ExperimentReport(
-            "qcnn4-hee", 0.25, 2, 1, 0, np.array([0.5, 0.625]), None, np.array([0.5, 0.6])
-        ),
+    """A two-model runs.csv: two seeds of one model and a single run of another."""
+    rows = [
+        RunRow("cnn51", 0.25, 0, seed, epoch, 0.3 / epoch, 0.5 + 0.1 * epoch, acc)
+        for seed, accs in ((0, (0.5, 0.75)), (1, (0.5, 0.625)))
+        for epoch, acc in enumerate(accs, 1)
+    ] + [
+        RunRow("qcnn4-hee", 0.25, 0, 0, epoch, 0.2, 0.5, acc)
+        for epoch, acc in enumerate((0.5, 0.625), 1)
     ]
-    path = tmp_path_factory.mktemp("report") / "report.csv"
-    write_report_csv(path, reports)
+    path = tmp_path_factory.mktemp("report") / "runs.csv"
+    write_runs_csv(path, rows)
     with open(path, newline="") as fh:
         return path, list(csv.reader(fh))
 
@@ -364,16 +365,18 @@ def _write_rows(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-@pytest.mark.parametrize("key", ["threshold", "mean_acc", "sem"])
+@pytest.mark.parametrize(
+    "key", ["threshold", "train_loss", "train_accuracy", "test_accuracy"]
+)
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
 def test_report_csv_refuses_non_finite_numbers(valid_report, tmp_path, key, cell):
     _, rows = valid_report
     rows = [list(row) for row in rows]
-    rows[2][REPORT_COLUMNS.index(key)] = cell
-    path = tmp_path / "report.csv"
+    rows[2][RUN_COLUMNS.index(key)] = cell
+    path = tmp_path / "runs.csv"
     _write_rows(path, rows)
     with pytest.raises(SerializeError, match=f"{path} line 3: {key} must be finite"):
-        read_report_csv(path)
+        read_runs_csv(path)
 
 
 # any cell text: what a hand-edited or damaged report could hold
@@ -388,19 +391,19 @@ _CELL = (
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_a_report_with_one_cell_changed_reads_or_fails_naming_the_line(valid_report, data):
-    """A changed cell either reads back as finite numbers, or read_report_csv
-    refuses the file with a SerializeError naming it and the record's line.
-    Any other exception is a reader gap."""
+    """A changed cell of runs.csv either reads back as integers and finite
+    numbers, or read_runs_csv refuses the file with a SerializeError naming it
+    and the record's line.  Any other exception is a reader gap."""
     valid, rows = valid_report
     line = data.draw(st.integers(2, len(rows)), label="line")
-    column = data.draw(st.integers(0, len(REPORT_COLUMNS) - 1), label="column")
+    column = data.draw(st.integers(0, len(RUN_COLUMNS) - 1), label="column")
     cell = data.draw(_CELL, label="cell")
     changed = [list(row) for row in rows]
     changed[line - 1][column] = cell
     path = valid.with_name("changed.csv")
     _write_rows(path, changed)
     try:
-        read = read_report_csv(path)
+        read = read_runs_csv(path)
     except SerializeError as exc:
         # a quoted line break inside the cell moves the record's last line
         last_line = line + len(re.findall(r"\r\n|\r|\n", cell))
@@ -408,9 +411,10 @@ def test_a_report_with_one_cell_changed_reads_or_fails_naming_the_line(valid_rep
         return
     assert len(read) == len(rows) - 1
     for row in read:
-        assert isinstance(row["epoch"], int)
-        assert np.isfinite([row["threshold"], row["mean_acc"]]).all()
-        assert row["sem"] is None or np.isfinite(row["sem"])
+        assert all(isinstance(v, int) for v in (row.split_seed, row.seed, row.epoch))
+        assert np.isfinite(
+            [row.threshold, row.train_loss, row.train_accuracy, row.test_accuracy]
+        ).all()
 
 
 def test_schema_mismatch_raises(tmp_path):
@@ -421,8 +425,8 @@ def test_schema_mismatch_raises(tmp_path):
             load_events(path)
     path2 = tmp_path / "bad.csv"
     path2.write_text("a,b\n1,2\n")
-    with pytest.raises(SerializeError):
-        read_report_csv(path2)
+    with pytest.raises(SerializeError, match=f"{path2} does not look like a runs CSV"):
+        read_runs_csv(path2)
 
 
 def test_wrong_kind_raises(tmp_path):

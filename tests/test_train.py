@@ -17,6 +17,7 @@ from scatterqml.train import (
     make_classifier,
     mse_loss,
     run_experiment,
+    summarize,
     train,
 )
 
@@ -167,34 +168,68 @@ def test_batch_size_guard():
 def test_qcnn_learns_separable_data():
     ds = synthetic_dataset(seed=2, rule="axis", n=400, margin=0.5)
     rep = run_experiment(ds, TrainConfig(model="qcnn4-hee", runs=3), workers=1)
-    assert rep.final_mean >= 0.99
+    assert rep.mean_test_accuracy[-1] >= 0.99
 
 
 def test_cnn_learns_separable_data():
     ds = synthetic_dataset(seed=2, rule="hyperplane", n=400, margin=0.5)
     rep = run_experiment(ds, TrainConfig(model="cnn51", runs=3), workers=1)
-    assert rep.final_mean >= 0.99
+    assert rep.mean_test_accuracy[-1] >= 0.99
 
 
 def test_experiment_aggregation_and_sem():
+    """summarize's final mean and SEM, checked against single train calls."""
     ds = synthetic_dataset(seed=4)
-    config = TrainConfig(model="cnn51", epochs=3, runs=4)
+    config = TrainConfig(model="cnn51", epochs=3, runs=4, base_seed=7)
     rep = run_experiment(ds, config, workers=2)
-    assert rep.completed == 4 and rep.failed == 0
+    assert rep.completed == 4 and rep.failures == []
+    assert list(rep.runs) == [7, 8, 9, 10]
     assert rep.mean_test_accuracy.shape == (3,)
-    assert rep.sem_test_accuracy.shape == (3,)
-    singles = [train(ds, config, seed=s).test_accuracy[-1] for s in range(4)]
-    assert rep.final_mean == pytest.approx(np.mean(singles))
-    assert rep.final_sem == pytest.approx(
-        np.std(singles, ddof=1) / np.sqrt(4)
-    )
+    singles = [train(ds, config, seed=s).test_accuracy[-1] for s in range(7, 11)]
+    mean = sum(singles) / 4
+    sem = (sum((a - mean) ** 2 for a in singles) / 3) ** 0.5 / 2
+    summary = summarize(rep.rows())["cnn51"]
+    assert (summary.threshold, summary.epochs, summary.runs) == (ds.threshold, 3, 4)
+    assert summary.mean == pytest.approx(mean, abs=1e-15)
+    assert summary.sem == pytest.approx(sem, abs=1e-15)
+    assert summary.mean == rep.mean_test_accuracy[-1]
 
 
 def test_single_run_has_no_sem():
     ds = synthetic_dataset(seed=5)
     rep = run_experiment(ds, TrainConfig(model="cnn51", epochs=2, runs=1), workers=1)
-    assert rep.sem_test_accuracy is None
-    assert rep.final_sem is None
+    summary = summarize(rep.rows())["cnn51"]
+    assert summary.runs == 1 and summary.sem is None
+    assert summary.mean == train(ds, TrainConfig(model="cnn51", epochs=2), 0).test_accuracy[-1]
+
+
+def test_summarize_keeps_models_apart_in_first_seen_order():
+    ds = synthetic_dataset(seed=5)
+    reports = [
+        run_experiment(ds, TrainConfig(model=m, epochs=2, runs=2), workers=1)
+        for m in ("cnn113", "cnn51")
+    ]
+    rows = [row for rep in reports for row in rep.rows()]
+    summaries = summarize(rows)
+    assert list(summaries) == ["cnn113", "cnn51"]
+    for rep in reports:
+        assert summaries[rep.model] == summarize(rep.rows())[rep.model]
+        assert summaries[rep.model].mean == rep.mean_test_accuracy[-1]
+
+
+def test_experiment_rows_are_one_per_run_and_epoch():
+    ds = synthetic_dataset(seed=5)
+    config = TrainConfig(model="cnn51", epochs=2, runs=2, base_seed=3)
+    rep = run_experiment(ds, config, workers=1)
+    rows = rep.rows()
+    assert [(r.seed, r.epoch) for r in rows] == [(3, 1), (3, 2), (4, 1), (4, 2)]
+    assert {(r.model, r.threshold, r.split_seed) for r in rows} == {
+        ("cnn51", ds.threshold, ds.seed)
+    }
+    single = train(ds, config, seed=4)
+    assert [(r.train_loss, r.train_accuracy, r.test_accuracy) for r in rows[2:]] == list(
+        zip(single.train_loss, single.train_accuracy, single.test_accuracy)
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
