@@ -15,6 +15,7 @@ import glob
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -88,6 +89,18 @@ def single_threaded_blas():
         _set_blas_threads(saved)
 
 
+# ordered_map's pool, open between calls: (worker count, executor) or None
+_pool = None
+
+
+def _close_pool() -> None:
+    """Shut down ordered_map's pool, if one is open."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
+
+
 def ordered_map(fn, tasks, workers: int | None = None) -> list:
     """[fn(t) for t in tasks], in a process pool of `workers` (default: the
     available parallelism, at most one per task) when that is more than one.
@@ -95,13 +108,28 @@ def ordered_map(fn, tasks, workers: int | None = None) -> list:
     BLAS runs single-threaded in the caller and in every pool worker: a
     pool's processes already use the cores, and a pinned thread count makes
     the results independent of both `workers` and OPENBLAS_NUM_THREADS.
+
+    The pool opens at the first pooled call and stays open for every later
+    call with the same worker count; a call with another count replaces it,
+    a dead worker drops it, and it is shut down at exit.  Its workers run the
+    package as it was when the pool opened: a function patched in the caller
+    afterwards is not seen by them.
     """
+    global _pool
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n_workers = min(workers if workers is not None else (os.cpu_count() or 1), len(tasks))
     with single_threaded_blas():
-        if n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(t) for t in tasks]
+        if n_workers <= 1:
+            return [fn(t) for t in tasks]
+        if _pool is None or _pool[0] != n_workers:
+            _close_pool()
+            _pool = (n_workers, ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas))
+        try:
+            return list(_pool[1].map(fn, tasks))
+        except BrokenProcessPool:
+            _close_pool()  # the next call opens a fresh pool
+            raise
 
 
 class DatasetError(ValueError):

@@ -2,6 +2,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -205,19 +207,26 @@ save_events(sys.argv[1], config, run_sweep(config, workers=int(sys.argv[3])))
 """
 
 
-def _sweep_bytes(path, masses, workers, blas_threads):
+def _run_python(script, *args, **env):
+    """Run `script` in a fresh interpreter that imports the package from this
+    checkout; returns its standard output."""
     src = str(Path(dataset.__file__).resolve().parents[1])
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        OPENBLAS_NUM_THREADS=blas_threads,
+        **env,
     )
-    args = [str(path), ",".join(map(str, masses)), str(workers)]
     result = subprocess.run(
-        [sys.executable, "-c", _SWEEP_SCRIPT, *args],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _sweep_bytes(path, masses, workers, blas_threads):
+    args = [str(path), ",".join(map(str, masses)), str(workers)]
+    _run_python(_SWEEP_SCRIPT, *args, OPENBLAS_NUM_THREADS=blas_threads)
     return path.read_bytes()
 
 
@@ -271,18 +280,26 @@ def test_ordered_map_without_blas_controls_still_maps(monkeypatch, workers):
     assert dataset.ordered_map(abs, [-1, -2, 3], workers) == [1, 2, 3]
 
 
-def test_ordered_map_opens_at_most_one_worker_per_task(monkeypatch):
-    opened = []
+@pytest.fixture
+def no_open_pool():
+    """No pool open before the test, and none left open after it."""
+    dataset._close_pool()
+    yield
+    dataset._close_pool()
+
+
+def test_ordered_map_opens_at_most_one_worker_per_task(no_open_pool, monkeypatch):
+    """A pool of min(workers, len(tasks)) stays open for every call at its
+    count; a call at another count shuts it down first."""
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer):
-            opened.append((max_workers, initializer))
+            self.max_workers = max_workers
+            pools.append(("open", max_workers, initializer))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
+        def shutdown(self):
+            pools.append(("shut", self.max_workers))
 
         def map(self, fn, tasks):
             return map(fn, tasks)
@@ -290,10 +307,59 @@ def test_ordered_map_opens_at_most_one_worker_per_task(monkeypatch):
     monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(dataset.os, "cpu_count", lambda: 64)
     assert dataset.ordered_map(abs, [-1, -2], 64) == [1, 2]
-    assert dataset.ordered_map(abs, [-1, -2, -3]) == [1, 2, 3]
-    assert dataset.ordered_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert dataset.ordered_map(abs, [-3, -4, -5], 2) == [3, 4, 5]  # same count: reused
+    assert dataset.ordered_map(abs, [-1, -2, -3]) == [1, 2, 3]  # another count
     assert dataset.ordered_map(abs, [-1], 64) == [1]  # one task: no pool
-    assert opened == [(2, dataset._pin_blas), (3, dataset._pin_blas), (2, dataset._pin_blas)]
+    pin = dataset._pin_blas
+    assert pools == [("open", 2, pin), ("shut", 2), ("open", 3, pin)]
+
+
+def _exit_worker(_task):
+    os._exit(1)
+
+
+def test_a_dead_worker_fails_its_call_and_the_next_call_opens_a_fresh_pool():
+    with pytest.raises(BrokenProcessPool):
+        dataset.ordered_map(_exit_worker, [0, 1], 2)
+    assert dataset.ordered_map(abs, [-1, -2], 2) == [1, 2]
+
+
+def _worker_pid(_task):
+    time.sleep(0.1)  # long enough that every worker takes a task
+    return os.getpid()
+
+
+def test_consecutive_calls_run_on_the_same_workers():
+    first = set(dataset.ordered_map(_worker_pid, range(4), 2))
+    assert len(first) == 2
+    assert set(dataset.ordered_map(_worker_pid, range(4), 2)) == first
+
+
+# a pooled call in a fresh interpreter: prints the pids of its workers, then exits
+_POOL_EXIT_SCRIPT = """
+import os, time
+from scatterqml.dataset import ordered_map
+def worker_pid(_task):
+    time.sleep(0.1)
+    return os.getpid()
+print(*set(ordered_map(worker_pid, range(4), 2)))
+"""
+
+
+def test_no_pool_worker_outlives_its_interpreter():
+    pids = [int(pid) for pid in _run_python(_POOL_EXIT_SCRIPT).split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        dataset.ordered_map(abs, [-1, -2], workers)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_sweep(tiny_sweep_config(), workers=workers)
 
 
 def test_time_chunks_match_per_time_observables():
