@@ -1,8 +1,9 @@
 """Flat key=value run configuration files.
 
 A config file is plain text: one `key = value` per line, `#` comments and
-blank lines ignored.  List values are comma-separated.  Unknown keys are
-rejected.  The same keys can be overridden on the command line.
+blank lines ignored.  List values are comma-separated, with no empty
+element.  Unknown keys are rejected.  The same keys can be overridden on the
+command line.
 
 The keys are the fields of `SweepConfig`, `DatasetConfig` and `TrainConfig`.
 Each value is parsed by its field's annotation; a field that may be None
@@ -41,7 +42,10 @@ class ConfigError(ValueError):
 
 
 def _float_list(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    tokens = raw.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"must be a comma-separated list with no empty element, got {raw!r}")
+    return tuple(float(tok) for tok in tokens)
 
 
 def _model_name(raw: str) -> str:
@@ -85,6 +89,8 @@ def _parse_pair(key: str, raw: str, where: str = ""):
         )
     try:
         return key, _PARSERS[key](raw)
+    except ConfigError as exc:  # the parser's own words, naming no key
+        raise ConfigError(f"{where}{key} {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}bad value for {key}: {raw!r} ({exc})") from None
 

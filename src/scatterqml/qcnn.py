@@ -15,17 +15,19 @@ parameter within the layer's 24 (None for a fixed rotation) and a fixed
 angle offset.  At angle a = offset + parameter its matrix is
 exp(-i a sigma~ / 2) = cos(a/2) I - i sin(a/2) sigma~, exact since
 sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER holds CONV + POOL as
-constant arrays (StepTable): every step is cos(a/2) C + sin(a/2) D, beside
-its parameter index, a fixed-step mask and its offset, so the 30 step
-matrices of every layer are built as one (n_layers, 30, 4, 4) stack.
+constant arrays (StepTable): every step is cos(a/2) C + sin(a/2) D at
+a = offset + params . drive, drive being the 0/1 row that picks the step's
+parameter (all zero for a fixed step), so the 30 step matrices of every
+layer are built as one (n_layers, 30, 4, 4) stack.
 
 The pool of a layer acts on the same disjoint pairs as its convolution, and
 blocks on different pairs commute, so "every conv, then every pool" equals
 "conv then pool, pair by pair": each layer is the product U of its LAYER
-steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  The
-gradient reduces each layer to its 4x4 environment, summed over its pairs,
-and then reads every parameter derivative of every layer from one walk
-forward through the stacked steps (_layer_gradients).
+steps, one fused 4x4 block per pair (q - 1 blocks for q qubits).  fuse
+keeps the running products Q_k = G_k ... G_0 of the steps, U being the
+last.  The gradient reduces each layer to its 4x4 environment, summed over
+its pairs, and then reads every parameter derivative of every layer from
+those running products at once (_layer_gradients).
 
 qcnn_forward and adjoint_gradient take an encoded batch as site tensors
 (batch, n, chi, 2, chi) (circuits.sites).  A pooled qubit is never touched
@@ -141,26 +143,29 @@ POOL = _u3(1, 15) + _u3(0, 18) + [CNOT] + _u3(0, 21)
 
 class StepTable(NamedTuple):
     """A step list as stacked constant arrays: step k at angle
-    a = offset[k] + (the layer parameter index[k] unless fixed[k]) is the
-    4x4 matrix cos(a/2) C[k] + sin(a/2) D[k].  A rotation has C = I and
-    D = -i sigma~; a CNOT is fixed, with C its matrix and D = 0."""
+    a = offset[k] + sum_j drive[k, j] params[j] is the 4x4 matrix
+    cos(a/2) C[k] + sin(a/2) D[k].  drive[k] is the 0/1 row of the layer
+    parameter that drives step k, all zero for a fixed step.  A rotation
+    has C = I and D = -i sigma~; a CNOT is fixed, with C its matrix and
+    D = 0."""
 
     C: np.ndarray
     D: np.ndarray
-    index: np.ndarray
-    fixed: np.ndarray
+    drive: np.ndarray
     offset: np.ndarray
 
 
 def _table(steps) -> StepTable:
     rows = []
     for step in steps:
+        drive = np.zeros(PARAMS_PER_LAYER)
         if isinstance(step, np.ndarray):
-            rows.append((step, np.zeros((4, 4)), 0, True, 0.0))
+            rows.append((step, np.zeros((4, 4)), drive, 0.0))
         else:
             generator, index, offset = step
-            fixed = index is None
-            rows.append((_I4, -1j * generator, 0 if fixed else index, fixed, offset))
+            if index is not None:
+                drive[index] = 1.0
+            rows.append((_I4, -1j * generator, drive, offset))
     return StepTable(*(np.array(column) for column in zip(*rows)))
 
 
@@ -170,18 +175,21 @@ LAYER = _table(CONV + POOL)
 def step_matrices(params: np.ndarray) -> np.ndarray:
     """Matrices (..., steps, 4, 4) of the LAYER steps at layer parameters
     (..., 24)."""
-    angles = LAYER.offset + np.where(LAYER.fixed, 0.0, params[..., LAYER.index])
+    angles = LAYER.offset + params @ LAYER.drive.T
     half = angles[..., None, None] / 2
     return np.cos(half) * LAYER.C + np.sin(half) * LAYER.D
 
 
 def fuse(matrices: np.ndarray) -> np.ndarray:
-    """Product of step matrices (..., steps, 4, 4) in circuit order, the
-    first step rightmost."""
-    U = matrices[..., 0, :, :]
-    for k in range(1, matrices.shape[-3]):
-        U = matrices[..., k, :, :] @ U
-    return U
+    """Running products Q_k = G_k ... G_0 (..., steps, 4, 4) of step
+    matrices G (..., steps, 4, 4) in circuit order; the fused block is the
+    last, Q[..., -1, :, :]."""
+    G = np.moveaxis(matrices, -3, 0)  # step-major: each product is written in place
+    Q = np.empty(G.shape, complex)
+    Q[0] = G[0]
+    for k in range(1, len(G)):
+        np.matmul(G[k], Q[k - 1], out=Q[k])
+    return np.moveaxis(Q, 0, -3)
 
 
 @dataclass
@@ -218,11 +226,10 @@ class QcnnModel:
         return replace(model, params=rng.uniform(-np.pi, np.pi, size=model.n_parameters))
 
 
-def _layers(model: QcnnModel):
-    """Step matrices (n_layers, steps, 4, 4) and fused blocks (n_layers, 4, 4)
-    of every layer, in circuit order."""
-    G = step_matrices(model.params.reshape(model.n_layers, PARAMS_PER_LAYER))
-    return G, fuse(G)
+def _layers(model: QcnnModel) -> np.ndarray:
+    """Running step products (n_layers, steps, 4, 4) of every layer (fuse),
+    in circuit order; [:, -1] are the layers' blocks."""
+    return fuse(step_matrices(model.params.reshape(model.n_layers, PARAMS_PER_LAYER)))
 
 
 def _fold(U: np.ndarray) -> np.ndarray:
@@ -233,14 +240,12 @@ def _fold(U: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b where a or b may be real: the real factor is multiplied by the
-    complex one's real and imaginary parts and never copied to complex."""
+    """a @ b where b may be real: a real b is multiplied by a's real and
+    imaginary parts and never copied to complex."""
     if np.iscomplexobj(a) and not np.iscomplexobj(b):
         rows = a.shape[-2]
         stacked = np.concatenate([a.real, a.imag], axis=-2) @ b
         return stacked[..., :rows, :] + 1j * stacked[..., rows:, :]
-    if np.iscomplexobj(b) and not np.iscomplexobj(a):
-        return a @ b.real + 1j * (a @ b.imag)
     return a @ b
 
 
@@ -378,23 +383,19 @@ def _tree(U: np.ndarray, sites: np.ndarray):
         yield T, groups
 
 
-def _layer_gradients(G: np.ndarray, U: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """Parameter derivatives (n_layers, 24) from every layer's environment
-    env[i, j] (i the block's output index, j its input index), where the
-    loss changes by 2 Re sum(dU * env).  All layers walk forward through
-    their LAYER steps at once from W = env^T U with W <- G W G^dagger; each
-    rotation cos(a/2) I + sin(a/2) D, D = -i sigma~, adds
-    Im tr(sigma~ W) = Re tr(D W) to its parameter (each parameter drives
-    one step)."""
-    W = env.swapaxes(-1, -2) @ U
-    walked = np.empty(G.shape, complex)
-    for k in range(G.shape[1]):
-        W = G[:, k] @ W @ G[:, k].conj().swapaxes(-1, -2)
-        walked[:, k] = W
-    trace = np.einsum("kij,lkji->lk", LAYER.D, walked).real
-    grad = np.zeros((len(U), PARAMS_PER_LAYER))
-    grad[:, LAYER.index[~LAYER.fixed]] = trace[:, ~LAYER.fixed]
-    return grad
+def _layer_gradients(Q: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Parameter derivatives (n_layers, 24) from every layer's running step
+    products Q (n_layers, steps, 4, 4) and environment env[i, j] (i the
+    block's output index, j its input index), where the loss changes by
+    2 Re sum(dU * env) and U = Q[:, -1].  A rotation step k,
+    cos(a/2) I + sin(a/2) D with D = -i sigma~, changes U by
+    dU = U Q_k^dagger (D / 2) Q_k da, so its parameter gets
+    Re tr(Q_k^dagger D Q_k M) with M = env^T U: one batched conjugation of
+    D for every step of every layer (a CNOT's D is 0), and drive sends each
+    trace to the parameter that drives its step."""
+    M = env.swapaxes(-1, -2) @ Q[:, -1]
+    P = Q.conj().swapaxes(-1, -2) @ LAYER.D @ Q
+    return np.einsum("lkij,lji->lk", P, M).real @ LAYER.drive
 
 
 def _check_width(model: QcnnModel, sites: np.ndarray) -> None:
@@ -410,7 +411,7 @@ def qcnn_forward(model: QcnnModel, sites: np.ndarray) -> np.ndarray:
     """Class-1 probability p = (1 - <Z>)/2 of the readout qubit for a batch
     of (batch, n, chi, 2, chi) site tensors."""
     _check_width(model, sites)
-    _, U = _layers(model)
+    U = _layers(model)[:, -1]
     for _, groups in _tree(U, sites):
         pass
     return groups[0][_READOUT].real
@@ -421,9 +422,9 @@ def adjoint_gradient(model: QcnnModel, sites: np.ndarray, labels: np.ndarray) ->
     tensors.
 
     Every layer's 4x4 environment, summed over its pairs, is collected
-    first; one walk over the stacked layers then gives every parameter
-    derivative (_layer_gradients).  Agreement with the parameter-shift
-    reference to 1e-8 is asserted in the tests.
+    first; every parameter derivative is then read from it and the layers'
+    running step products (_layer_gradients).  Agreement with the
+    parameter-shift reference to 1e-8 is asserted in the tests.
 
     The adjoint Lam of a layer's output segments, with
     dL = sum(Lam * d segments), starts as dL/dp on the root's _READOUT entry.
@@ -436,9 +437,9 @@ def adjoint_gradient(model: QcnnModel, sites: np.ndarray, labels: np.ndarray) ->
     from their kets (_ket_environments).
     """
     _check_width(model, sites)
-    G, U = _layers(model)
-    env = _tree_environments(U, sites, np.asarray(labels, dtype=float))
-    return _layer_gradients(G, U, env).ravel()
+    Q = _layers(model)
+    env = _tree_environments(Q[:, -1], sites, np.asarray(labels, dtype=float))
+    return _layer_gradients(Q, env).ravel()
 
 
 def _tree_environments(U, sites, labels) -> np.ndarray:

@@ -40,6 +40,8 @@ class TrainConfig:
             raise TrainError("epochs and runs must be >= 1")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.base_seed < 0:
+            raise TrainError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("massess = 0.5\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("masses", ["0.2,,0.5", "0.2, 0.5,", ",0.2", ""])
+def test_a_list_with_an_empty_element_is_refused_naming_the_key(tmp_path, masses):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"sites = 8\nmasses = {masses}\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: masses must be"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^masses must be"):
+        parse_assignments([f"masses={masses}"])
 
 
 def test_parse_assignments():
@@ -408,6 +419,8 @@ def test_cli_non_finite_sweep_value_fails_before_any_work(tiny_cfg_file, tmp_pat
     ("antifermion_momenta=-3.2", "antifermion_momenta"),
     ("learning_rate=nan", "learning_rate"),
     ("epochs=0", "epochs and runs"),
+    ("base_seed=-1", "base_seed"),
+    ("masses=0.2,,0.5", "masses"),
 ])
 def test_cli_bad_time_grid_or_width_fails_before_any_work(
     tiny_cfg_file, tmp_path, capsys, setting, key

@@ -55,7 +55,7 @@ def _mse(width, encoding, states, labels):
 
 def _fuse(layer_params, steps=slice(None)):
     """Fused block of the stacked LAYER table's steps (all, or a slice)."""
-    return fuse(step_matrices(layer_params)[steps])
+    return fuse(step_matrices(layer_params)[steps])[-1]
 
 
 _CONV_STEPS = slice(len(CONV))
@@ -73,14 +73,23 @@ def test_pool_block_structure():
 
 
 def test_layer_table_matches_the_oracle_gate_lists(rng):
-    params = LAYER.index[~LAYER.fixed]
+    # each parameter drives exactly one step, in table order; fixed steps none
+    driven = LAYER.drive.sum(axis=1) == 1
+    assert set(np.unique(LAYER.drive)) == {0.0, 1.0}
+    assert np.array_equal(LAYER.drive.sum(axis=0), np.ones(PARAMS_PER_LAYER))
+    assert not LAYER.drive[~driven].any()
+    params = LAYER.drive[driven].argmax(axis=1)
     assert list(params) == table_parameters(CONV + POOL)
-    assert sorted(params) == list(range(PARAMS_PER_LAYER))
     theta = rng.uniform(-np.pi, np.pi, PARAMS_PER_LAYER)
     gates = conv_block_gates(1, 0, 0) + pool_block_gates(1, 0, PARAMS_PER_CONV)
     assert np.abs(_fuse(theta) - pair_unitary(gates, theta)).max() < 1e-14
+    # every running product is the oracle's product of the gates so far
+    Q = fuse(step_matrices(theta))
+    assert len(Q) == len(gates)
+    for k in range(len(gates)):
+        assert np.abs(Q[k] - pair_unitary(gates[: k + 1], theta)).max() < 1e-14
     # the blocks the model applies are the same table, stacked over layers
-    _, U = qcnn._layers(QcnnModel(n_qubits=4, params=np.concatenate([theta, theta[::-1]])))
+    U = qcnn._layers(QcnnModel(n_qubits=4, params=np.concatenate([theta, theta[::-1]])))[:, -1]
     assert np.abs(U[0] - pair_unitary(gates, theta)).max() < 1e-14
     assert np.abs(U[1] - pair_unitary(gates, theta[::-1])).max() < 1e-14
     U = _fuse(np.zeros(PARAMS_PER_LAYER), _CONV_STEPS)  # identity up to a global phase
@@ -289,7 +298,7 @@ def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
     purification index), against the outer-product route."""
     rng = np.random.default_rng(rows)
     A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
-    _, U = qcnn._layers(QcnnModel.random(16, kind, rows))
+    U = qcnn._layers(QcnnModel.random(16, kind, rows))[:, -1]
     T, expect = outer_product_first_layer(U[0], A)
     X, Y = next(qcnn._tree(U, A))
     kets = [y[:, :, :, None] for y in Y]
@@ -313,7 +322,7 @@ def test_ket_second_layer_matches_the_density_route(kind, rows):
     environments, against pairwise merged and folded density segments."""
     rng = np.random.default_rng(10 + rows)
     A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
-    _, U = qcnn._layers(QcnnModel.random(16, kind, 10 + rows))
+    U = qcnn._layers(QcnnModel.random(16, kind, 10 + rows))[:, -1]
     T1, first = outer_product_first_layer(U[0], A)
     T2, expect = density_second_layer(U[1], first)
     tree = qcnn._tree(U, A)
