@@ -128,35 +128,26 @@ def cnn_forward(model: CnnModel, X: np.ndarray) -> np.ndarray:
 
 
 def cnn_backward(model: CnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean squared error with respect to all parameters."""
+    """Gradient of the batch-mean squared error with respect to all
+    parameters, written into the views that _unpack gives of one zero
+    vector, so the flat parameter layout is stated only in _unpack."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    p, cache = _forward_pass(model, X)
-    X2, windows, z_conv, acts, zs, _ = cache
-    w_conv, b_conv, dense = model._unpack()
-    B = X2.shape[0]
+    p, (X2, windows, z_conv, acts, zs, _) = _forward_pass(model, X)
+    dense = model._unpack()[2]
+    grad = np.zeros(model.n_parameters)
+    g_wconv, g_bconv, g_dense = replace(model, params=grad)._unpack()
 
     # d loss / d z_out through the sigmoid head
     delta = (2.0 * (p - y) / y.size * p * (1.0 - p))[:, None]
-
-    grads_dense = []
     for i in range(len(dense) - 1, -1, -1):
-        W, _ = dense[i]
-        gW = delta.T @ acts[i]
-        gb = delta.sum(axis=0)
-        grads_dense.append((gW, gb))
+        gW, gb = g_dense[i]
+        gW[:] = delta.T @ acts[i]
+        gb[:] = delta.sum(axis=0)
+        delta = delta @ dense[i][0]
         if i > 0:
-            delta = (delta @ W) * (zs[i - 1] > 0)
-        else:
-            delta = delta @ W
-    grads_dense.reverse()
+            delta = delta * (zs[i - 1] > 0)
 
-    d_aconv = delta.reshape(B, CONV_CHANNELS, CONV_OUT_LEN)
-    d_zconv = d_aconv * (z_conv > 0)
-    g_wconv = np.einsum("bci,bij->cj", d_zconv, windows)
-    g_bconv = d_zconv.sum(axis=(0, 2))
-
-    pieces = [g_wconv.ravel(), g_bconv]
-    for gW, gb in grads_dense:
-        pieces.append(gW.ravel())
-        pieces.append(gb)
-    return np.concatenate(pieces)
+    d_zconv = delta.reshape(X2.shape[0], CONV_CHANNELS, CONV_OUT_LEN) * (z_conv > 0)
+    g_wconv[:] = np.einsum("bci,bij->cj", d_zconv, windows)
+    g_bconv[:] = d_zconv.sum(axis=(0, 2))
+    return grad

@@ -8,11 +8,12 @@ active qubits.  After log2(q) layers a single readout qubit remains; the
 model output is its probability of reading |1>.
 
 One layer is stated once, as data: CONV and POOL list its steps on the local
-qubits (1, 0) of a pair, local qubit 1 being the first tensor factor as in
-circuits.apply_unitary.  A rotation step is (sigma~, index, offset): its 4x4
-Hermitian generator sigma~ (a Pauli on one local qubit), the index of its
-parameter within the layer's 24 (None for a fixed rotation) and a fixed
-angle offset.  At angle a = offset + parameter its matrix is
+qubits (1, 0) of a pair.  A 4x4 matrix acts on the pair index
+(p q) = 2 p + q: local qubit 1, the pair's left qubit p, is the first
+tensor factor, and local qubit 0, the right one q, the second.  A rotation
+step is (sigma~, index, offset): its 4x4 Hermitian generator sigma~ (a
+Pauli on one local qubit), the index of its parameter within the layer's
+24 (None for a fixed rotation) and a fixed angle offset.  At angle a = offset + parameter its matrix is
 exp(-i a sigma~ / 2) = cos(a/2) I - i sin(a/2) sigma~, exact since
 sigma~^2 = I.  A CNOT step is its 4x4 matrix.  LAYER holds CONV + POOL as
 constant arrays (StepTable): every step is cos(a/2) C + sin(a/2) D at
@@ -32,37 +33,43 @@ those running products at once (_layer_gradients).
 qcnn_forward and adjoint_gradient take an encoded batch as site tensors
 (batch, n, chi, 2, chi) (circuits.sites).  A pooled qubit is never touched
 again, so the circuit is a tree over contiguous segments of sites (Grant et
-al., npj Quantum Inf. 4, 65, 2018).  The first two layers work on kets, with
-every pooled qubit kept as a purification index; the layers above them on
-density segments.
+al., npj Quantum Inf. 4, 65, 2018).  The first two layers work on kets,
+with every pooled qubit kept as a purification index; the layers above
+them on density segments.
 
-Layer 1: each site pair gives the two-site ket X[l, (p q), r] (one
-batched matmul) and the block acts on it as Y = U X, (batch, k, l, 4, r),
-a being the pooled qubit of (a b).  Layer 2 merges neighbouring kets over
-their shared bond m, X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
-Y'[m, (a' b'), r] (one batched matmul, _ket_merge), applies its block to
-(b b') as Y = U X, and only then forms the density segment, summed over
-its pooled qubit c and the purification e = (a a'):
-S[(l l'), d, d', (r r')] = sum Y[l, e, (c d), r] conj Y[l', e, (c d'), r']
+Every shared bond of the tree is contracted by one function, _merge: a
+left operand (batch, k, L, ..., m) and a right one (batch, k, m, ..., R),
+kets or segments, flattened around their shared bond m to matrices
+[(L x), m] and [m, (y R)] and multiplied in one batched matmul, giving
+T[L, (x y), R]; _merge_adjoint carries an adjoint back through it.
+
+A ket A[l, e, b, r], stored (batch, k, l, e, 2, r), has one active qubit
+b and a purification index e.  _ket_merge merges two kets into the block's
+input X[l, (e e'), (b b'), r]; the block acts on it as U X, and the pooled
+qubit c of the output (c d) joins the purification, leaving the ket
+[l, (e e' c), d, r] (_pool).  Layer 1 is one such merge over every site
+pair, the site tensors entering as kets with e = 1, and gives kets with
+e = 2.  Layer 2 merges neighbouring kets pairwise (_plan) and applies its
+block, and only then forms the density segment, its purification traced
+out: S[(l l'), d, d', (r r')] = sum_e Y[l, e, d, r] conj Y[l', e, d', r']
 (_ket_segments).
 
 From layer 3 on, a segment carries one active qubit and traces out the
 rest: S[(l l'), x, x', (r r')], its ket and bra bonds to the left and
 right neighbours around the active qubit's density matrix, stored
 (batch, k, L, 2, 2, R) with k segments side by side.  A merge takes a
-left segment (L, 2, 2, M) and a right one (M, 2, 2, R) to one batched
-matmul over their shared bond pair M with no transposed copy, then
-applies U . U^dagger and the trace over the pooled qubit as one 4x16
-matrix K.
+left segment (L, 2, 2, M) and a right one (M, 2, 2, R) over their shared
+bond pair M with no transposed copy, then applies U . U^dagger and the
+trace over the pooled qubit as one 4x16 matrix K.
 
 The chain's outer bonds are trivial: circuits.sites uses only bond index
 0 left of the first site and right of the last one, and a segment's outer
-bond index passes unchanged up to the root.  So every layer, the first
-included, holds three groups of kets or segments (_edges): the left edge at bond 0 only, the batched
-interior at full bonds, and the right edge at bond 0 only.  An edge
-merges with its interior neighbour, the rest of the interior merges
-pairwise, and the root, the readout qubit's density matrix at
-(batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).
+bond index passes unchanged up to the root.  So every layer holds three
+groups of kets or segments (_edges): the left edge at bond 0 only, the
+batched interior at full bonds, and the right edge at bond 0 only.  Above
+layer 1, an edge merges with its interior neighbour, the rest of the
+interior merges pairwise, and the root, the readout qubit's density matrix
+at (batch, 1, 1, 2, 2, 1), is one merge of the two edges (_plan).
 
 Above the first layer there are n/2 - 2 log2(n) + 2 interior merges (2 at
 16 qubits, none at 4 and 8), all of them in layer 2 at these widths, and
@@ -75,11 +82,12 @@ at these widths, rather than O(n 2^n).
 
 The gradient runs the same layers in reverse.  Above layer 2, the
 adjoint Lam of a layer's output segments is carried back through K and
-the merge products.  At layer 2 it becomes the kets' adjoint
+the merge (_merge_adjoint).  At layer 2 it becomes the kets' adjoint
 Z = Lam . conj Y (_ket_adjoint); the block's environment is
 env[(c d), (b b')] = sum Z[.., (c d), ..] X[.., (b b'), ..], and U^T Z is
-carried back through the merge (_ket_merge_adjoint) to the first layer's
-kets, whose environment is the same sum of their adjoint and X.
+carried back through the ket merge (_ket_merge_adjoint, the inverse
+regrouping and _merge_adjoint) to the first layer's kets, whose
+environment is the same sum of their adjoint and X.
 """
 
 from __future__ import annotations
@@ -249,19 +257,28 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _matrices(left: np.ndarray, right: np.ndarray):
-    """Merge operands (batch, k, L, 2, 2, M) and (batch, k, M, 2, 2, R) as
-    matrices over their shared bond pair M: left [(L p p'), M] and right
-    [M, (q q' R)] (views)."""
-    batch, k, L, *_, M = left.shape
-    return left.reshape(batch, k, 4 * L, M), right.reshape(batch, k, M, -1)
-
-
 def _merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """T[L, (p p' q q'), R] = sum_M S_left[L, p, p', M] S_right[M, q, q', R]
-    of every operand pair, one batched matmul: (batch, k, L, 16, R)."""
-    lm, rm = _matrices(left, right)
-    return (lm @ rm).reshape(left.shape[:3] + (16, right.shape[-1]))
+    """T[L, (x y), R] = sum_m left[L, x, m] right[m, y, R] of every operand
+    pair, kets or segments (batch, k, L, ..., m) and (batch, k, m, ..., R):
+    one batched matmul over the shared bond m, the operands flattened around
+    it to left[(L x), m] and right[m, (y R)] (views where they can be),
+    returned as (batch, k, L, x y, R)."""
+    batch, k, L = left.shape[:3]
+    T = left.reshape(batch, k, -1, left.shape[-1]) @ right.reshape(batch, k, right.shape[2], -1)
+    return T.reshape(batch, k, L, -1, right.shape[-1])
+
+
+def _merge_adjoint(W: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """The adjoints of _merge's operands, given W the adjoint of its output,
+    so that sum(W * dT) = sum(dleft * left_in) + sum(dright * right_in):
+    left_in[(L x), m] = sum W[(L x), (y R)] right[m, (y R)] and
+    right_in[m, (y R)] = sum left[(L x), m] W[(L x), (y R)]."""
+    batch, k = left.shape[:2]
+    lm = left.reshape(batch, k, -1, left.shape[-1])
+    rm = right.reshape(batch, k, right.shape[2], -1)
+    W = W.reshape(lm.shape[:3] + rm.shape[-1:])
+    left_in, right_in = W @ rm.swapaxes(-1, -2), lm.swapaxes(-1, -2) @ W
+    return left_in.reshape(left.shape), right_in.reshape(right.shape)
 
 
 def _edges(x: np.ndarray) -> list:
@@ -289,71 +306,60 @@ def _plan(groups: list) -> list:
     return plan + [((1, slice(-1, None)), (2, _ALL))]
 
 
-def _pair_kets(sites: np.ndarray) -> np.ndarray:
-    """Two-site kets X[l, (p q), r] = sum_m A[l, p, m] A'[m, q, r] of every
-    site pair, real: (batch, n/2, chi, 4, chi)."""
-    batch, n, chi = sites.shape[:3]
-    X = sites[:, 0::2].reshape(batch, n // 2, 2 * chi, chi) @ sites[:, 1::2].reshape(
-        batch, n // 2, chi, 2 * chi
-    )
-    return X.reshape(batch, n // 2, chi, 4, chi)
-
-
 def _ket_merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Second-layer kets X[l, (a a'), (b b'), r] = sum_m Y[l, (a b), m]
-    Y'[m, (a' b'), r] of first-layer kets (batch, k, l, 4, m) and
-    (batch, k, m, 4, r), one batched matmul: the pooled qubits a a' stay as
-    a purification index e = (a a') and the kept qubits b b' are the second
-    block's input, (batch, k, l, 4, 4, r)."""
-    batch, k, l, _, m = left.shape
-    r = right.shape[-1]
-    X = left.reshape(batch, k, 4 * l, m) @ right.reshape(batch, k, m, 4 * r)
-    X = X.reshape(batch, k, l, 2, 2, 2, 2, r).transpose(0, 1, 2, 3, 5, 4, 6, 7)
-    return X.reshape(batch, k, l, 4, 4, r)
+    """Merged kets X[l, (e e'), (b b'), r] = sum_m A[l, e, b, m]
+    A'[m, e', b', r] of kets (batch, k, l, e, 2, m) and (batch, k, m, e, 2, r)
+    (_merge): the purifications e e' become one index and the active qubits
+    b b' the block's input, (batch, k, l, e^2, 4, r)."""
+    batch, k, l, e = left.shape[:4]
+    X = _merge(left, right).reshape(batch, k, l, e, 2, e, 2, -1).swapaxes(4, 5)
+    return X.reshape(batch, k, l, e * e, 4, -1)
 
 
 def _ket_merge_adjoint(W: np.ndarray, left: np.ndarray, right: np.ndarray):
     """The adjoints of _ket_merge's operands, given W the adjoint of its
-    output: W[L, R] right[m, R] and left[L, m] W[L, R] summed over R and L,
-    with L = (l a b) and R = (a' b' r)."""
-    batch, k, l, _, m = left.shape
-    r = right.shape[-1]
-    W = W.reshape(batch, k, l, 2, 2, 2, 2, r).transpose(0, 1, 2, 3, 5, 4, 6, 7)
-    W = W.reshape(batch, k, 4 * l, 4 * r)
-    lm, rm = left.reshape(batch, k, 4 * l, m), right.reshape(batch, k, m, 4 * r)
-    left_in, right_in = W @ rm.swapaxes(-1, -2), lm.swapaxes(-1, -2) @ W
-    return left_in.reshape(left.shape), right_in.reshape(right.shape)
+    output: W regrouped back to [l, e, b, e', b', r] (_merge_adjoint)."""
+    batch, k, l, e = left.shape[:4]
+    return _merge_adjoint(W.reshape(batch, k, l, e, e, 2, 2, -1).swapaxes(4, 5), left, right)
+
+
+def _pool(Y: np.ndarray) -> np.ndarray:
+    """Block outputs Y = U X (batch, k, l, e, 4, r) as kets
+    (batch, k, l, 2 e, 2, r): the pooled qubit c of (c d) joins the
+    purification."""
+    return Y.reshape(Y.shape[:3] + (-1, 2, Y.shape[-1]))
 
 
 def _ket_segments(Y: np.ndarray) -> np.ndarray:
-    """Second-layer segments S[(l l'), d, d', (r r')] = sum over e and c of
-    Y[l, e, (c d), r] conj Y[l', e, (c d'), r'] of the kets Y = U X,
-    (batch, s, l, e, 4, r), as one batched product of M[(e c), (l d r)] with
-    its conjugate."""
+    """Segments S[(l l'), d, d', (r r')] = sum_e Y[l, e, d, r]
+    conj Y[l', e, d', r'] of kets (batch, s, l, e, 2, r), their purification
+    traced out, as one batched product of M[e, (l d r)] with its
+    conjugate."""
     batch, s, l, e, _, r = Y.shape
-    M = Y.reshape(batch, s, l, e, 2, 2, r).transpose(0, 1, 3, 4, 2, 5, 6)
-    M = M.reshape(batch, s, 2 * e, 2 * l * r)
+    M = Y.transpose(0, 1, 3, 2, 4, 5).reshape(batch, s, e, 2 * l * r)
     S = (M.swapaxes(-1, -2) @ M.conj()).reshape(batch, s, l, 2, r, l, 2, r)
     return S.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(batch, s, l * l, 2, 2, r * r)
 
 
 def _ket_adjoint(Y: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The adjoint Z[l, e, (c d), r] = sum Lam[(l l'), d, d', (r r')]
-    conj Y[l', e, (c d'), r'] of the kets Y, where Lam is the adjoint of the
+    """The adjoint Z[l, e, d, r] = sum Lam[(l l'), d, d', (r r')]
+    conj Y[l', e, d', r'] of the kets Y, where Lam is the adjoint of the
     segments _ket_segments(Y)."""
     batch, s, l, e, _, r = Y.shape
     width = 2 * l * r
-    # Lam[(l d r), (l' d' r')] and conj Y[(l' d' r'), (e c)]
+    # Lam[(l d r), (l' d' r')] and conj Y[(l' d' r'), e]
     lam = lam.reshape(batch, s, l, l, 2, 2, r, r).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-    Yc = Y.reshape(batch, s, l, e, 2, 2, r).transpose(0, 1, 2, 5, 6, 3, 4).conj()
-    Z = lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, 2 * e)
-    return Z.reshape(batch, s, l, 2, r, e, 2).transpose(0, 1, 2, 5, 6, 3, 4).reshape(Y.shape)
+    Yc = Y.transpose(0, 1, 2, 4, 5, 3).conj()
+    Z = lam.reshape(batch, s, width, width) @ Yc.reshape(batch, s, width, e)
+    return Z.reshape(batch, s, l, 2, r, e).transpose(0, 1, 2, 5, 3, 4)
 
 
 def _ket_environment(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """A ket layer's environment env[(c d), (p q)] = sum Z[..., (c d), r]
     X[..., (p q), r] over the batch, the segments and every other index, for
-    the kets Y = U X with adjoint Z."""
+    the block outputs Y = U X with adjoint Z, given as Y or as its kets
+    (_pool)."""
+    Z = Z.reshape(X.shape)
     return _mul(Z.swapaxes(-1, -2).reshape(-1, 4).T, X.swapaxes(-1, -2).reshape(-1, 4))
 
 
@@ -363,17 +369,18 @@ _READOUT = (slice(None), 0, 0, 1, 1, 0)
 
 def _tree(U: np.ndarray, sites: np.ndarray):
     """Yield, layer by layer, what the layer's output is built from and the
-    groups leaving the layer (_edges): at the first layer the pair kets X of
-    each group and the kets U X leaving it, (batch, k, l, 4, r); at the
-    second the merged kets X and Y = U X of each merge (_plan) and the
-    segments leaving it; after it the merged T of each merge and its
-    segments, each (batch, k, L, 2, 2, R).  The last layer leaves the root,
-    (batch, 1, 1, 2, 2, 1), whose _READOUT entry is p."""
-    X = _pair_kets(sites)
-    groups = _edges(_mul(U[0], X))
+    groups leaving the layer (_edges): at the first layer the merged kets X
+    of each group, (batch, k, l, 1, 4, r), and the kets of U X leaving it,
+    (batch, k, l, 2, 2, r); at the second the merged kets X and the kets
+    Y of U X of each merge (_plan) and the segments leaving it; after it the
+    merged T of each merge and its segments, each (batch, k, L, 2, 2, R).
+    The last layer leaves the root, (batch, 1, 1, 2, 2, 1), whose _READOUT
+    entry is p."""
+    X = _ket_merge(sites[:, 0::2, :, None], sites[:, 1::2, :, None])
+    groups = _edges(_pool(_mul(U[0], X)))
     yield _edges(X), groups
     X = [_ket_merge(groups[a][:, i], groups[b][:, j]) for (a, i), (b, j) in _plan(groups)]
-    Y = [U[1] @ x for x in X]
+    Y = [_pool(U[1] @ x) for x in X]
     groups = [_ket_segments(y) for y in Y]
     yield list(zip(X, Y)), groups
     for block in U[2:]:
@@ -432,9 +439,11 @@ def adjoint_gradient(model: QcnnModel, sites: np.ndarray, labels: np.ndarray) ->
     T[L, (p p' q q'), R] Lam[L, (b b'), R] over the bonds and every merge of
     the batch, a layer's environment is
     env[(a b), (p q)] = sum conj U[(a b'), (p' q')] H[(p p' q q'), (b b')],
-    and Lam is carried back through K and the merge products to the
+    and Lam is carried back through K and the merge (_merge_adjoint, the
+    adjoint of the one batched matmul every merge of the tree is) to the
     segments entering the layer.  The first two layers' environments come
-    from their kets (_ket_environments).
+    from their kets (_ket_environments), whose merges are carried back
+    through the same _merge_adjoint.
     """
     _check_width(model, sites)
     Q = _layers(model)
@@ -458,10 +467,7 @@ def _tree_environments(U, sites, labels) -> np.ndarray:
             g = g.reshape(T.shape[:3] + (4, R))  # [L, (b b'), R]
             H = H + _mul(T.reshape(-1, 16, R), g.reshape(-1, 4, R).swapaxes(1, 2)).sum(axis=0)
             left, right = entering[a][:, i], entering[b][:, j]
-            lm, rm = _matrices(left, right)
-            lam_T = (K.T @ g).reshape(lm.shape[:3] + (rm.shape[-1],))  # [(L p p'), (q q' R)]
-            lam_in[a][:, i] = (lam_T @ rm.swapaxes(-1, -2)).reshape(left.shape)
-            lam_in[b][:, j] = (lm.swapaxes(-1, -2) @ lam_T).reshape(right.shape)
+            lam_in[a][:, i], lam_in[b][:, j] = _merge_adjoint(K.T @ g, left, right)
         U4 = U[depth].reshape(2, 2, 2, 2)
         env[depth] = np.einsum("acrs,prqsbc->abpq", U4.conj(), H.reshape((2,) * 6)).reshape(4, 4)
         lam = lam_in
@@ -478,7 +484,7 @@ def _ket_environments(U, built, kets, lam) -> np.ndarray:
     env = np.zeros((2, 4, 4), complex)
     Z = [np.empty_like(y) for y in kets]
     for (X, Y), g, ((a, i), (b, j)) in zip(built[1], lam, _plan(kets)):
-        z = _ket_adjoint(Y, g)
+        z = _ket_adjoint(Y, g).reshape(X.shape)
         env[1] += _ket_environment(X, z)
         Z[a][:, i], Z[b][:, j] = _ket_merge_adjoint(U[1].T @ z, kets[a][:, i], kets[b][:, j])
     for X, z in zip(built[0], Z):

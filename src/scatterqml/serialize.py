@@ -171,8 +171,9 @@ def save_events(path, config: SweepConfig, events: list[ScatteringEvent]) -> Non
 def _check_event(event: ScatteringEvent, config: SweepConfig, times: set) -> None:
     """Refuse an event whose arrays are not real, finite and shaped by the
     sweep (one row per recorded time, one column per site or per cut), whose
-    t_star is not one of the recorded `times`, or whose parameters are not
-    the four grid keys, each a finite number."""
+    t_star is not one of the recorded `times`, whose t_star and delta_s_mid
+    are not both null or both set (neither may be set with an error), or
+    whose parameters are not the four grid keys, each a finite number."""
     rows = len(config.times)
     for key, shape in (
         ("density_image", (rows, config.sites)),
@@ -185,6 +186,10 @@ def _check_event(event: ScatteringEvent, config: SweepConfig, times: set) -> Non
             raise ValueError(f"{key} must hold real, finite numbers")
     if event.t_star is not None and event.t_star not in times:
         raise ValueError(f"t_star {event.t_star!r} is not a recorded time of the sweep")
+    if (event.t_star is None) != (event.delta_s_mid is None):
+        raise ValueError("t_star and delta_s_mid must be both null or both set")
+    if event.error is not None and event.t_star is not None:
+        raise ValueError("an event with an error must have null t_star and delta_s_mid")
     parameters = event.parameters
     if not isinstance(parameters, dict) or set(parameters) != set(PARAMETER_KEYS):
         raise ValueError(f"parameters must hold the keys {PARAMETER_KEYS}, got {parameters!r}")

@@ -275,13 +275,18 @@ def summarize(rows) -> dict[str, Summary]:
     The test accuracies are stacked (runs, epochs) in row order and reduced
     over the runs, as ExperimentReport.mean_test_accuracy is, so a mean reads
     the same computed from a report or from its rows.  Runs of one model that
-    end at different epochs (a file cut at a line break) are refused."""
+    end at different epochs (a file cut at a line break) or that were
+    recorded at different thresholds or split seeds are refused."""
     curves = {}
     for row in rows:
-        runs = curves.setdefault(row.model, (row.threshold, {}))[1]
+        recorded, runs = curves.setdefault(row.model, ((row.threshold, row.split_seed), {}))
+        if recorded != (row.threshold, row.split_seed):
+            raise ValueError(
+                f"the runs of {row.model} were recorded at more than one threshold or split seed"
+            )
         runs.setdefault(row.seed, []).append(row.test_accuracy)
     summaries = {}
-    for model, (threshold, runs) in curves.items():
+    for model, ((threshold, _), runs) in curves.items():
         if len({len(accs) for accs in runs.values()}) > 1:
             raise ValueError(f"the runs of {model} do not all end at the same epoch")
         test = np.array(list(runs.values()))

@@ -334,6 +334,18 @@ def test_cli_report_refuses_runs_cut_at_a_line_break(tmp_path, capsys):
     assert "error: the runs of cnn51 do not all end at the same epoch" in capsys.readouterr().err
 
 
+def test_cli_report_refuses_a_model_recorded_at_two_thresholds(tmp_path, capsys):
+    """Two runs.csv files of one model at thresholds 0.1 and 0.9, concatenated."""
+    path = tmp_path / "runs.csv"
+    path.write_text(
+        "model,threshold,split_seed,seed,epoch,train_loss,train_accuracy,test_accuracy\n"
+        "cnn51,0.1,0,0,1,0.25,0.5,0.75\ncnn51,0.9,0,1,1,0.25,0.5,0.75\n"
+    )
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: the runs of cnn51 were recorded at more than one threshold or split seed" in err
+
+
 def _events_file(tmp_path, tiny_events):
     """A run directory's events file, written at tmp_path, and its lines."""
     path = tmp_path / "events.jsonl"

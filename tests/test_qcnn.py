@@ -294,15 +294,16 @@ def _random_adjoint(rng, shape):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("kind", ["hee", "tpe"])
 def test_ket_first_layer_matches_the_outer_product_route(kind, rows):
-    """The first layer's kets, read as segments sum_a Y conj Y (a trivial
-    purification index), against the outer-product route."""
+    """The first layer's kets (batch, k, l, 2, 2, r), read as segments
+    sum_a Y conj Y over their purification, the pooled qubit a, against the
+    outer-product route."""
     rng = np.random.default_rng(rows)
     A = sites(rng.uniform(0, np.pi, size=(rows, 16)), 16, kind)
     U = qcnn._layers(QcnnModel.random(16, kind, rows))[:, -1]
     T, expect = outer_product_first_layer(U[0], A)
-    X, Y = next(qcnn._tree(U, A))
-    kets = [y[:, :, :, None] for y in Y]
+    X, kets = next(qcnn._tree(U, A))
     assert len(kets) == len(_KEPT)
+    assert all(ket.shape[3:5] == (2, 2) for ket in kets)
     for ket, kept in zip(kets, _KEPT):
         group = qcnn._ket_segments(ket)
         assert group.shape == expect[kept].shape
@@ -335,6 +336,40 @@ def test_ket_second_layer_matches_the_density_route(kind, rows):
     lam = _random_adjoint(rng, expect.shape)
     env = qcnn._ket_environments(U, [b for b, _ in built], kets, [lam[kept] for kept in _KEPT])
     assert np.abs(env - density_first_two_environments(U, T1, first, T2, lam)).max() < 1e-13
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize(
+    "merge, adjoint, left_shape, right_shape",
+    [
+        # first-layer kets (batch, k, l, e, 2, m) with e = 1, second-layer kets with e = 2
+        (qcnn._merge, qcnn._merge_adjoint, (3, 8, 4, 1, 2, 4), (3, 8, 4, 1, 2, 4)),
+        (qcnn._merge, qcnn._merge_adjoint, (3, 2, 4, 2, 2, 4), (3, 2, 4, 2, 2, 1)),
+        (qcnn._ket_merge, qcnn._ket_merge_adjoint, (3, 2, 4, 2, 2, 4), (3, 2, 4, 2, 2, 1)),
+        # density segments (batch, k, L, 2, 2, M)
+        (qcnn._merge, qcnn._merge_adjoint, (2, 3, 16, 2, 2, 16), (2, 3, 16, 2, 2, 16)),
+        (qcnn._merge, qcnn._merge_adjoint, (2, 1, 1, 2, 2, 16), (2, 1, 16, 2, 2, 1)),
+    ],
+    ids=["first-layer-kets", "second-layer-kets", "ket-merge", "segments", "root"],
+)
+def test_merge_adjoint_is_the_adjoint_of_merge(merge, adjoint, left_shape, right_shape):
+    """sum(W * merge(dL, R) + W * merge(L, dR)) = sum(left_in * dL) +
+    sum(right_in * dR) for (left_in, right_in) = adjoint(W, L, R); each half
+    holds on its own, the merge being bilinear."""
+    rng = np.random.default_rng(sum(left_shape) + sum(right_shape))
+    L, dL = _complex_normal(rng, left_shape), _complex_normal(rng, left_shape)
+    R, dR = _complex_normal(rng, right_shape), _complex_normal(rng, right_shape)
+    W = _complex_normal(rng, merge(L, R).shape)
+    left_in, right_in = adjoint(W, L, R)
+    assert left_in.shape == left_shape and right_in.shape == right_shape
+    left_half, right_half = np.sum(W * merge(dL, R)), np.sum(W * merge(L, dR))
+    assert np.isclose(left_half, np.sum(left_in * dL), rtol=1e-12, atol=0)
+    assert np.isclose(right_half, np.sum(right_in * dR), rtol=1e-12, atol=0)
+    total = np.sum(left_in * dL) + np.sum(right_in * dR)
+    assert np.isclose(left_half + right_half, total, rtol=1e-12, atol=0)
 
 
 def test_tree_reads_only_boundary_bond_zero_like_the_statevector():

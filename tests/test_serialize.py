@@ -137,6 +137,24 @@ def _delta_s_mid_nan(record):
     record["delta_s_mid"] = float("nan")
 
 
+# build_dataset labels an event by delta_s_mid alone: label fields that
+# disagree with each other or with an error must not load
+def _delta_s_mid_without_t_star(record):
+    record["t_star"] = None
+
+
+def _t_star_without_delta_s_mid(record):
+    record["delta_s_mid"] = None
+
+
+def _error_with_labels(record):
+    record["error"] = "LatticeError: x"
+
+
+def _error_with_t_star(record):
+    record.update(error="LatticeError: x", delta_s_mid=None)
+
+
 @pytest.mark.parametrize(
     "corrupt,detail",
     [
@@ -155,13 +173,18 @@ def _delta_s_mid_nan(record):
         (_parameter_a_string, r"parameters\['fermion_momentum'\] must be a number, got '0.9'"),
         (_parameter_infinite, r"parameters\['coupling'\] must be finite, got inf"),
         (_delta_s_mid_nan, "delta_s_mid must be finite, got nan"),
+        (_delta_s_mid_without_t_star, "t_star and delta_s_mid must be both null or both set"),
+        (_t_star_without_delta_s_mid, "t_star and delta_s_mid must be both null or both set"),
+        (_error_with_labels, "an event with an error must have null t_star and delta_s_mid"),
+        (_error_with_t_star, "t_star and delta_s_mid must be both null or both set"),
     ],
     ids=[
         "density-row-short", "density-row-ragged", "entropy-column-narrow", "density-string", "entropy-nan",
         "density-true", "entropy-false",
         "t-star-off-grid", "parameters-number", "parameters-missing-key",
         "parameters-extra-key", "parameter-bool", "parameter-string", "parameter-infinite",
-        "delta-s-mid-nan",
+        "delta-s-mid-nan", "delta-s-mid-without-t-star", "t-star-without-delta-s-mid",
+        "error-with-labels", "error-with-t-star",
     ],
 )
 def test_event_with_misshapen_or_non_finite_arrays_is_rejected(

@@ -1,5 +1,6 @@
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ def test_summarize_keeps_models_apart_in_first_seen_order():
     for rep in reports:
         assert summaries[rep.model] == summarize(rep.rows())[rep.model]
         assert summaries[rep.model].mean == rep.mean_test_accuracy[-1]
+
+
+@pytest.mark.parametrize("field, other", [("threshold", 0.9), ("split_seed", 1)])
+def test_summarize_refuses_one_model_recorded_on_two_datasets(field, other):
+    ds = synthetic_dataset(seed=5)
+    rows = run_experiment(ds, TrainConfig(model="cnn51", epochs=2, runs=1), workers=1).rows()
+    moved = [replace(row, seed=1, **{field: other}) for row in rows]
+    with pytest.raises(ValueError, match="the runs of cnn51 were recorded at more than one"):
+        summarize(rows + moved)
+    assert summarize(rows + [replace(row, seed=1) for row in rows])["cnn51"].runs == 2
 
 
 def test_experiment_rows_are_one_per_run_and_epoch():
